@@ -9,15 +9,13 @@ A scenario is a JSON object with keys "kind", "parameters", and optional
 into the output directory and exits 0 on a passing certificate, 2 on a
 failing one, 1 on errors, 64 on an unknown kind.  report.json is
 byte-identical across runs with the same scenario and seed; wall time is
-written to a separate wall_time.txt sidecar to keep it that way.  The
-environment variable SIPKIT_THREADS caps BLAS thread counts.
+written to a separate wall_time.txt sidecar to keep it that way.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -513,17 +511,8 @@ def run_scenario(path, out_override=None, seed_override=None) -> int:
     return 0 if passed else 2
 
 
-def _apply_thread_env():
-    raw = os.environ.get("SIPKIT_THREADS")
-    if not raw:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, raw)
-
-
 def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_env()
     if not args or args[0] in ("-h", "--help"):
         print(USAGE)
         return 0 if args else 64
@@ -534,13 +523,14 @@ def main(argv=None) -> int:
             return 64
         return validate_scenario(rest[0])
     if cmd == "run":
-        path, out, seed = None, None, None
+        path, opts = None, {"--out": None, "--seed": None}
         it = iter(rest)
         for tok in it:
-            if tok == "--out":
-                out = next(it, None)
-            elif tok == "--seed":
-                seed = next(it, None)
+            if tok in opts:
+                opts[tok] = next(it, None)
+                if opts[tok] is None:
+                    print(f"option {tok} needs a value\n{USAGE}", file=sys.stderr)
+                    return 64
             elif tok.startswith("-"):
                 print(f"unknown option {tok}\n{USAGE}", file=sys.stderr)
                 return 64
@@ -549,10 +539,11 @@ def main(argv=None) -> int:
             else:
                 print(USAGE, file=sys.stderr)
                 return 64
-        if path is None or (seed is not None and not str(seed).lstrip("-").isdigit()):
+        seed = opts["--seed"]
+        if path is None or (seed is not None and not seed.lstrip("-").isdigit()):
             print(USAGE, file=sys.stderr)
             return 64
-        return run_scenario(path, out_override=out, seed_override=seed)
+        return run_scenario(path, out_override=opts["--out"], seed_override=seed)
     print(f"unknown command {cmd!r}\n{USAGE}", file=sys.stderr)
     return 64
 

@@ -23,7 +23,7 @@ from .errors import (
     EvaluationError,
     UnsupportedNormError,
 )
-from .spaces import NormSpec, _ladder_limit, norm, sip
+from .spaces import COND_LIMIT, NormSpec, _ladder_limit, _raw_norm, norm, sip
 
 __all__ = [
     "RateEstimate",
@@ -371,28 +371,19 @@ def operator_norm(A, p, samples=200, seed=0):
     best_v, best = None, -math.inf
     vs = rng.normal(size=(samples, n))
     for v in vs:
-        v = v / _pnorm(v, p)
-        val = _pnorm(A @ v, p)
+        v = v / _raw_norm(v, p)
+        val = _raw_norm(A @ v, p)
         if val > best:
             best, best_v = val, v
 
     def obj(v):
-        nv = _pnorm(v, p)
+        nv = _raw_norm(v, p)
         if nv < 1e-300:
             return -math.inf
-        return _pnorm(A @ v, p) / nv
+        return _raw_norm(A @ v, p) / nv
 
     _, best, _ = _ascent_max(obj, best_v, step=0.1)
     return float(best), SAMPLED
-
-
-def _pnorm(x, p):
-    a = np.abs(x)
-    if p == math.inf:
-        return float(a.max())
-    if p == 1.0:
-        return float(a.sum())
-    return float((a**p).sum() ** (1.0 / p))
 
 
 def _weighted_conjugate(A, spec: NormSpec):
@@ -427,11 +418,11 @@ def lognorm_limit(A, spec: NormSpec = NormSpec(), samples=200, seed=0) -> RateEs
         return RateEstimate(float(val), kind, note="h-ladder limit")
     rng = np.random.default_rng(seed)
     vs = rng.normal(size=(samples, n))
-    vs /= np.array([_pnorm(v, p) for v in vs])[:, None]
+    vs /= np.array([_raw_norm(v, p) for v in vs])[:, None]
 
     def quot(h):
         M = eye + h * B
-        return (max(_pnorm(M @ v, p) for v in vs) - 1.0) / h
+        return (max(_raw_norm(M @ v, p) for v in vs) - 1.0) / h
 
     val = _ladder_limit(quot)
     return RateEstimate(float(val), SAMPLED, samples=samples, note="h-ladder limit")
@@ -607,8 +598,8 @@ class WeightFamily:
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ConditioningError(f"weight family returned shape {W.shape}")
         c = np.linalg.cond(W)
-        if not np.isfinite(c) or c > 1e12:
-            raise ConditioningError(f"weight family condition number {c:.3e} exceeds 1e12")
+        if not np.isfinite(c) or c > COND_LIMIT:
+            raise ConditioningError(f"weight family condition number {c:.3e} exceeds {COND_LIMIT:.0e}")
         return W
 
     def total_derivative(self, t, u, direction):

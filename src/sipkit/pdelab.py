@@ -21,11 +21,13 @@ from .errors import (
     CertificateRefusedError,
     DegenerateArgumentError,
     DimensionError,
+    DivergenceError,
     StepSizeError,
     UnsupportedNormError,
 )
 from .flows import Trajectory, integrate, overshoot_fit
 from .measures import (
+    BLOWUP,
     EIGEN,
     SAMPLED,
     DomainSampler,
@@ -645,6 +647,39 @@ class FixedPointReport:
     forced: bool
 
 
+# Newton iterations per implicit step, and the update size (relative to
+# the iterate, max norm) below which the step counts as solved.
+_NEWTON_ITERS = 8
+_NEWTON_RTOL = 1e-10
+# Halvings below the first step after which a rejected step ends the solve.
+_MAX_HALVINGS = 20
+
+
+def _implicit_step(F: VectorField, u, f, h):
+    """One backward-Euler step from u (with f = F(u)): solve
+    v - u - h F(v) = 0 by Newton on the matrix I - h DF(v).
+
+    An affine field needs one exact solve.  Returns (v, F(v)), or None
+    when the Newton matrix is singular or an iterate is non-finite or
+    past the blow-up sentinel.
+    """
+    eye = np.eye(u.shape[0])
+    v = u
+    for _ in range(_NEWTON_ITERS):
+        try:
+            J = F.matrix if F.matrix is not None else F.jacobian(0.0, v)
+            dv = np.linalg.solve(eye - h * J, v - u - h * f)
+        except np.linalg.LinAlgError:
+            return None
+        v = v - dv
+        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > BLOWUP:
+            return None
+        f = F(0.0, v)
+        if F.matrix is not None or np.max(np.abs(dv)) <= _NEWTON_RTOL * (1.0 + np.max(np.abs(v))):
+            break
+    return v, f
+
+
 def fixed_point_solve(
     F: VectorField,
     grid,
@@ -656,11 +691,26 @@ def fixed_point_solve(
     sampler: DomainSampler = None,
     force: bool = False,
 ):
-    """Solve F(u) = 0 by integrating du/dt = F(u) to stationarity.
+    """Solve F(u) = 0 by implicit pseudo-time stepping of du/dt = F(u).
 
-    The contraction rate of F is measured first; a nonnegative rate
-    refuses the certificate (force=True integrates anyway).  Returns
-    (u*, report) with the residual history and its fitted decay rate.
+    The contraction rate c of F in spec's norm is measured first; a
+    nonnegative rate refuses the certificate (force=True steps anyway).
+    Each pseudo-time step is backward Euler, v = u + h F(v), solved by
+    Newton.  When c < 0 every such step shrinks the residual ||F|| by
+    1/(1 - h c) whatever h is, so the step starts at h_t (default
+    0.2 h^2 for grid spacing h), doubles after each accepted step (the
+    iteration turns into Newton's method on F = 0), and is halved and
+    retried when a step gives a larger residual or leaves the finite
+    range.  Forced solves with c >= 0 take fixed steps of h_t and raise
+    DivergenceError once the state passes the blow-up sentinel.
+    Pseudo-time stops at max_t.
+
+    Returns (u*, report).  The report holds the pseudo-times and
+    residuals (in spec's norm) of the accepted steps, and as fitted_rate
+    the rate the last step implies, (1 - r_prev / r_last) / h_last with
+    r_last = ||v - u|| / h_last (equal to ||F(v)|| for a solved step):
+    the inverse of the backward-Euler amplification 1/(1 - h lambda),
+    exact for the slowest mode of a linear field.
     """
     N = F.dim
     if F.matrix is not None:
@@ -683,35 +733,46 @@ def fixed_point_solve(
         raise CertificateRefusedError(
             f"measured rate {est.value:.3e} is not negative; pass force=True to integrate anyway"
         )
+    contracting = est.value < 0.0
     if u0 is None:
         u0 = np.zeros(N)
     u = np.asarray(u0, dtype=float).copy()
     if h_t is None:
         h_t = 0.2 * grid.h**2
-    chunk = max(h_t, max_t / 400.0)
-    t = 0.0
-    ts, res = [0.0], [float(np.linalg.norm(F(0.0, u)))]
-    converged = res[0] <= tol
-    while t < max_t and not converged:
-        tr = integrate(F, u, (t, t + chunk), h_t)
-        u = tr.states[-1]
-        t = tr.times[-1]
+    if not h_t > 0:
+        raise DegenerateArgumentError("pseudo-time step must be positive")
+    floor = h_t / 2.0**_MAX_HALVINGS
+    f = F(0.0, u)
+    t, h = 0.0, h_t
+    ts, res = [0.0], [norm(f, spec)]
+    fitted = -math.inf
+    while res[-1] > tol and t < max_t * (1.0 - 1e-12):
+        step = min(h, max_t - t)
+        trial = _implicit_step(F, u, f, step)
+        r = math.inf if trial is None else norm(trial[1], spec)
+        if contracting and r > res[-1]:
+            if step <= floor:
+                break
+            h = step / 2.0
+            continue
+        if trial is None:
+            raise DivergenceError(f"state blew up at t = {t + step:.6g}", t=t + step)
+        # ||v - u|| / h is ||F(v)|| for a solved step, without the
+        # cancellation that evaluating F near its zero suffers
+        moved = norm(trial[0] - u, spec) / step
+        fitted = (1.0 - res[-1] / moved) / step if moved > 0.0 else -math.inf
+        u, f = trial
+        t += step
         ts.append(t)
-        res.append(float(np.linalg.norm(F(0.0, u))))
-        converged = res[-1] <= tol
-    ts = np.array(ts)
-    res = np.array(res)
-    positive = res > 1e-280
-    if positive.sum() >= 3:
-        fitted, _ = overshoot_fit(ts[positive], res[positive])
-    else:
-        fitted = -math.inf
+        res.append(r)
+        if contracting:
+            h = 2.0 * step
     report = FixedPointReport(
         rate_estimate=est,
-        times=ts,
-        residuals=res,
+        times=np.array(ts),
+        residuals=np.array(res),
         fitted_rate=float(fitted),
-        converged=bool(converged),
+        converged=bool(res[-1] <= tol),
         forced=bool(force),
     )
     return u, report

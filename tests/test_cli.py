@@ -243,6 +243,15 @@ def test_usage_paths():
     assert main(["run", "f.json", "--bogus"]) == 64
 
 
+def test_option_without_value_is_usage_error(tmp_path, monkeypatch, capsys):
+    f = write_scenario(tmp_path, "m", {"kind": "measure", "parameters": {"matrix": [[-1]], "p": 2}})
+    monkeypatch.chdir(tmp_path)
+    for flag in ("--out", "--seed"):
+        assert main(["run", str(f), flag]) == 64
+        assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_bad_parameter_payload_is_an_error(tmp_path):
     f = write_scenario(
         tmp_path, "ragged", {"kind": "measure", "parameters": {"matrix": [[1, 2], [3]], "p": 2}}

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from sipkit.errors import (
     CertificateRefusedError,
     DegenerateArgumentError,
     DimensionError,
+    DivergenceError,
     StepSizeError,
     UnsupportedNormError,
 )
@@ -426,3 +428,84 @@ def test_fixed_point_refuses_nonnegative_rate():
     u, rep = fixed_point_solve(F, g, tol=1e-6, u0=np.full(3, 1e-3), h_t=1e-3, max_t=1.0, force=True)
     assert rep.forced
     assert not rep.converged  # expanding flow cannot reach stationarity
+
+
+def tanh_poisson_field(g, counter=None):
+    L = build_laplacian(g)
+
+    def fn(t, u):
+        if counter is not None:
+            counter[0] += 1
+        return L @ u + np.tanh(u)
+
+    return VectorField(fn, g.n, jac=lambda t, u: L + np.diag(1.0 - np.tanh(u) ** 2))
+
+
+def test_fixed_point_fitted_rate_is_the_dirichlet_gap():
+    # the last implicit step's implied rate is the slowest Laplacian mode
+    n = 64
+    g = Grid1D(n, "dirichlet")
+    F = VectorField.linear(build_laplacian(g), b=np.ones(n))
+    _, rep = fixed_point_solve(F, g, tol=1e-8)
+    gap = -(4.0 / g.h**2) * math.sin(math.pi / (2 * (n + 1))) ** 2
+    assert rep.converged
+    assert rep.fitted_rate == pytest.approx(gap, rel=1e-6)
+
+
+def test_fixed_point_nonlinear_step_and_evaluation_budget():
+    g = Grid1D(64, "dirichlet")
+    calls = [0]
+    F = tanh_poisson_field(g, calls)
+    u0 = np.random.default_rng(5).normal(size=64)
+    _, rep = fixed_point_solve(F, g, tol=1e-8, u0=u0)
+    assert rep.converged
+    assert len(rep.times) - 1 <= 40  # accepted implicit steps
+    assert calls[0] < 500
+
+
+def test_fixed_point_certified_residuals_never_increase():
+    g = Grid1D(32, "dirichlet")
+    L = build_laplacian(g)
+    u0 = np.random.default_rng(6).normal(size=32)
+    for F in (VectorField.linear(L, b=np.ones(32)), VectorField.linear(L), tanh_poisson_field(g)):
+        _, rep = fixed_point_solve(F, g, tol=1e-9, u0=u0)
+        assert rep.converged and not rep.forced
+        assert np.all(np.diff(rep.residuals) <= 0.0)
+
+
+def test_fixed_point_residual_is_measured_in_spec_norm():
+    # mu_inf of the dirichlet Laplacian is exactly 0 (interior rows sum to
+    # zero), so the max-norm solve is forced and takes fixed steps of h_t
+    n = 32
+    g = Grid1D(n, "dirichlet")
+    F = VectorField.linear(build_laplacian(g), b=np.ones(n))
+    spec = NormSpec(p=math.inf)
+    with pytest.raises(CertificateRefusedError):
+        fixed_point_solve(F, g, spec=spec)
+    u, rep = fixed_point_solve(F, g, spec=spec, tol=1e-8, h_t=0.5, force=True)
+    assert rep.converged
+    assert np.max(np.abs(F(0.0, u))) <= 1e-8
+    assert rep.residuals[-1] == np.max(np.abs(F(0.0, u)))
+
+
+def test_fixed_point_forced_expanding_solve_ends():
+    # a growing implicit step would settle on the repelling equilibrium 0;
+    # a forced non-contracting solve steps at h_t up to max_t instead
+    F = VectorField.linear(0.5 * np.eye(3))
+    started = time.perf_counter()
+    u, rep = fixed_point_solve(F, Grid1D(16, "dirichlet"), force=True, u0=np.full(3, 1e-3))
+    assert time.perf_counter() - started < 20.0
+    assert not rep.converged
+    assert np.all(np.diff(rep.times) > 0.0)
+    assert rep.times[-1] == pytest.approx(50.0)
+    assert rep.residuals[-1] > rep.residuals[0]
+
+
+def test_fixed_point_blowup_and_bad_step_raise():
+    F = VectorField.linear(50.0 * np.eye(2))
+    with pytest.raises(DivergenceError):
+        fixed_point_solve(F, Grid1D(16, "dirichlet"), force=True, u0=np.ones(2), h_t=0.01)
+    g = Grid1D(16, "dirichlet")
+    for h_t in (0.0, -1e-3):
+        with pytest.raises(DegenerateArgumentError):
+            fixed_point_solve(VectorField.linear(build_laplacian(g)), g, u0=np.ones(16), h_t=h_t)
