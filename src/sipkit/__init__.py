@@ -30,7 +30,9 @@ from .spaces import (
     dini_plus,
     gateaux_sip,
     norm,
+    norm_rows,
     sip,
+    sip_rows,
 )
 from .measures import (
     Ball,

@@ -33,7 +33,7 @@ from .invariants import (
     subspace_certificate,
     manifold_certificate,
 )
-from .measures import Ball, DomainSampler, Points, RateEstimate, Sphere, VectorField, operator_rate
+from .measures import SAMPLED, Ball, DomainSampler, Points, RateEstimate, Sphere, VectorField, operator_rate
 from .mirror import RegressionProblem, mirror_descent_run
 from .pdelab import (
     Grid1D,
@@ -121,6 +121,9 @@ def emit_series(name: str, times, values, output_dir) -> Path:
 def _rate_entry(est) -> dict:
     if isinstance(est, RateEstimate):
         out = {"value": est.value, "kind": est.kind}
+        if est.kind == SAMPLED:
+            out["samples"] = est.samples
+            out["ascent_iters"] = est.ascent_iters
         if est.note:
             out["note"] = est.note
         return out

@@ -33,10 +33,11 @@ from .measures import (
     DomainSampler,
     RateEstimate,
     VectorField,
-    _ascent_max,
+    _quotients,
+    _state_sup,
     lognorm_closed,
 )
-from .spaces import NormSpec, norm, sip
+from .spaces import NormSpec, norm, norm_rows, sip_rows
 
 __all__ = [
     "SubspaceSpec",
@@ -221,35 +222,19 @@ def _projected_rate_linear(A, Q, spec: NormSpec):
 
 
 def _projected_rate_sampled(jac_at, Q, sampler: DomainSampler, spec: NormSpec, times):
-    pts = sampler.points()
     rng = np.random.default_rng((sampler.seed, 2))
-    n = Q.shape[0]
-    probes = rng.normal(size=(32, n)) @ Q.T
-    keep = [w for w in probes if norm(w, spec) > 1e-12]
-    if not keep:
+    probes = rng.normal(size=(32, Q.shape[0])) @ Q.T
+    nw = norm_rows(probes, spec)
+    keep = nw > 1e-12
+    if not np.any(keep):
         raise DegenerateProjectionError("complement projection annihilates every probe")
-    probes = [w / norm(w, spec) for w in keep]
+    probes = probes[keep] / nw[keep, None]
 
     def rate_at(t, u):
-        J = jac_at(t, u)
-        best = -math.inf
-        for w in probes:
-            best = max(best, sip(w, Q @ (J @ w), spec))
-        return best
+        return sip_rows(probes, probes @ jac_at(t, u).T @ Q.T, spec).max()
 
-    evals = [(rate_at(t, u), t, u) for t in times for u in pts]
-    evals.sort(key=lambda r: r[0], reverse=True)
-    best = evals[0][0]
-    used = 0
-    step = 0.05 * max(sampler.region.scale, 1e-6)
-    if step > 0:
-        for val, t, u in evals[:2]:
-            _, got, it = _ascent_max(
-                lambda x, t=t: rate_at(t, x), u, step, sampler.region.project, iters=25
-            )
-            used += it
-            best = max(best, got)
-    return RateEstimate(float(best), SAMPLED, samples=len(evals) * len(probes), ascent_iters=used)
+    best, used, vals = _state_sup(rate_at, sampler, times, 2)
+    return RateEstimate(best, SAMPLED, samples=len(vals) * len(probes), ascent_iters=used)
 
 
 def subspace_certificate(
@@ -322,44 +307,23 @@ def _constraint_rate(f, man: ManifoldSpec, sampler: DomainSampler, spec: NormSpe
     directions the constraint map actually measures; tangent directions
     are in the kernel of Dphi and carry no information here.
     """
-    pts = sampler.points()
     rng = np.random.default_rng((sampler.seed, 3))
     ys = rng.normal(size=(16, man.codim))
-    ys = [y / np.linalg.norm(y) for y in ys if np.linalg.norm(y) > 0]
+    ny = np.linalg.norm(ys, axis=1)
+    ys = ys[ny > 0] / ny[ny > 0, None]
 
     def rate_at(t, u):
         J = man.jacobian(u)
         if np.linalg.svd(J, compute_uv=False)[-1] <= RANK_TOL:
             return -math.inf  # constraint blind here; skip the point
-        pinvJ = np.linalg.pinv(J)
-        A = f.jacobian(t, u)
-        best = -math.inf
-        for y in ys:
-            du = pinvJ @ y
-            a = J @ du
-            na = norm(a, spec)
-            if na < 1e-12:
-                continue
-            b = J @ (A @ du)
-            best = max(best, sip(a, b, spec) / na**2)
-        return best
+        du = ys @ np.linalg.pinv(J).T
+        return _quotients(du @ J.T, du @ f.jacobian(t, u).T @ J.T, spec, 1e-12).max()
 
-    evals = [(rate_at(t, u), t, u) for t in times for u in pts]
-    finite = [e for e in evals if np.isfinite(e[0])]
+    best, used, vals = _state_sup(rate_at, sampler, times, 2)
+    finite = np.count_nonzero(np.isfinite(vals))
     if not finite:
         raise DegenerateProjectionError("no constraint-visible probe directions found")
-    finite.sort(key=lambda r: r[0], reverse=True)
-    best = finite[0][0]
-    used = 0
-    step = 0.05 * max(sampler.region.scale, 1e-6)
-    if step > 0:
-        for val, t, u in finite[:2]:
-            _, got, it = _ascent_max(
-                lambda x, t=t: rate_at(t, x), u, step, sampler.region.project, iters=25
-            )
-            used += it
-            best = max(best, got)
-    return RateEstimate(float(best), SAMPLED, samples=len(finite) * len(ys), ascent_iters=used)
+    return RateEstimate(best, SAMPLED, samples=finite * len(ys), ascent_iters=used)
 
 
 def manifold_certificate(

@@ -3,9 +3,13 @@
 Two routes to the same number are kept deliberately separate.  The closed
 forms (lognorm_closed, operator_rate) evaluate known formulas; the limit
 route (lognorm_limit) extrapolates (||I + hA|| - 1)/h directly.  Sampled
-suprema are certified lower bounds: probes drawn from a DomainSampler,
-refined by projected finite-difference ascent, and flagged as such in the
-returned RateEstimate.
+suprema are certified lower bounds, flagged as such in the returned
+RateEstimate.  Every one of them runs on a single engine, _sampled_sup:
+the objective maps a stack of probes (one per row) to their values, the
+probes are swept in one call per time, and projected forward-difference
+ascent refines the best few, each gradient one call on the stack
+[x; x + diag(h)].  The quotients themselves come from the row kernels
+norm_rows and sip_rows.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (
     EvaluationError,
     UnsupportedNormError,
 )
-from .spaces import COND_LIMIT, NormSpec, _ladder_limit, _raw_norm, norm, sip
+from .spaces import COND_LIMIT, NormSpec, _ladder_limit, _raw_norm_rows, norm_rows, sip_rows
 
 __all__ = [
     "RateEstimate",
@@ -287,32 +291,27 @@ class VectorField:
 # ------------------------------------------------------------- ascent
 
 
-def _fd_gradient(fun, x, rel=1e-6):
-    g = np.zeros(x.shape[0])
-    fx = fun(x)
-    for j in range(x.shape[0]):
-        h = rel * (1.0 + abs(x[j]))
-        e = np.zeros(x.shape[0])
-        e[j] = h
-        g[j] = (fun(x + e) - fx) / h
-    return g
+def _ascent(objective_rows, x0, step, project=None, iters=50):
+    """Greedy forward-difference ascent from x0; returns (value, iters used).
 
-
-def _ascent_max(fun, x0, step, project=None, iters=50):
-    """Greedy finite-difference ascent; returns (x, fun(x), iters used)."""
+    ``objective_rows`` maps a stack of points, one per row, to their
+    values; each gradient is one call on the stack [x; x + diag(h)].
+    """
     x = np.array(x0, dtype=float)
-    fx = fun(x)
+    fx = objective_rows(x[None, :])[0]
     used = 0
     for _ in range(iters):
         used += 1
-        g = _fd_gradient(fun, x)
+        h = 1e-6 * (1.0 + np.abs(x))
+        vals = objective_rows(np.concatenate((x[None, :], x + np.diag(h))))
+        g = (vals[1:] - vals[0]) / h
         ng = np.linalg.norm(g)
         if not np.isfinite(ng) or ng == 0.0:
             break
         cand = x + step * g / ng
         if project is not None:
             cand = project(cand)
-        fc = fun(cand)
+        fc = objective_rows(cand[None, :])[0]
         if np.isfinite(fc) and fc > fx:
             x, fx = cand, fc
             step *= 1.3
@@ -320,7 +319,53 @@ def _ascent_max(fun, x0, step, project=None, iters=50):
             step *= 0.5
         if step < 1e-12:
             break
-    return x, fx, used
+    return fx, used
+
+
+def _sampled_sup(objective_rows, starts, step, k, iters=50, project=None, times=(0.0,)):
+    """Sampled supremum of objective_rows(t, X) over t in times and the rows of starts.
+
+    Sweeps every start at each time in one call, then ascends from the k
+    best sweep values; a NaN or -inf value never becomes a start.  Returns
+    (best value seen, ascent iterations, sweep values in time-major order).
+    """
+    vals = np.concatenate([objective_rows(t, starts) for t in times])
+    live = np.flatnonzero(vals > -math.inf)
+    best = vals[live].max() if live.size else -math.inf
+    used = 0
+    for i in live[np.argsort(-vals[live], kind="stable")[:k]]:
+        t = times[i // len(starts)]
+        got, it = _ascent(lambda X, t=t: objective_rows(t, X), starts[i % len(starts)], step, project, iters)
+        best, used = max(best, got), used + it
+    return float(best), used, vals
+
+
+def _region_step(region):
+    return 0.05 * max(region.scale, 1e-6)
+
+
+def _state_sup(rate_at, sampler, times, k):
+    """_sampled_sup of a pointwise rate over the sampler's points, 25-step ascents."""
+    return _sampled_sup(
+        lambda t, X: np.array([rate_at(t, x) for x in X]),
+        sampler.points(),
+        _region_step(sampler.region),
+        k,
+        iters=25,
+        project=sampler.region.project,
+        times=times,
+    )
+
+
+def _quotients(U, W, spec, floor):
+    """sip(u, w)/||u||^2 for every row pair, -inf where ||u|| < floor."""
+    nu = norm_rows(U, spec)
+    ok = nu >= floor
+    if ok.all():
+        return sip_rows(U, W, spec) / nu**2
+    out = np.full(len(U), -math.inf)
+    out[ok] = sip_rows(U[ok], W[ok], spec) / nu[ok] ** 2
+    return out
 
 
 # ------------------------------------------------------------ log norms
@@ -367,23 +412,18 @@ def operator_norm(A, p, samples=200, seed=0):
         return float(np.linalg.norm(A, 2)), EIGEN
     # sampled sphere maximization with ascent refinement
     rng = np.random.default_rng(seed)
-    n = A.shape[1]
-    best_v, best = None, -math.inf
-    vs = rng.normal(size=(samples, n))
-    for v in vs:
-        v = v / _raw_norm(v, p)
-        val = _raw_norm(A @ v, p)
-        if val > best:
-            best, best_v = val, v
+    vs = rng.normal(size=(samples, A.shape[1]))
+    vs /= _raw_norm_rows(vs, p)[:, None]
 
-    def obj(v):
-        nv = _raw_norm(v, p)
-        if nv < 1e-300:
-            return -math.inf
-        return _raw_norm(A @ v, p) / nv
+    def ratio(_, V):
+        nv = _raw_norm_rows(V, p)
+        out = np.full(len(V), -math.inf)
+        ok = nv >= 1e-300
+        out[ok] = _raw_norm_rows(V[ok] @ A.T, p) / nv[ok]
+        return out
 
-    _, best, _ = _ascent_max(obj, best_v, step=0.1)
-    return float(best), SAMPLED
+    best, _, _ = _sampled_sup(ratio, vs, step=0.1, k=1)
+    return best, SAMPLED
 
 
 def _weighted_conjugate(A, spec: NormSpec):
@@ -418,17 +458,17 @@ def lognorm_limit(A, spec: NormSpec = NormSpec(), samples=200, seed=0) -> RateEs
         return RateEstimate(float(val), kind, note="h-ladder limit")
     rng = np.random.default_rng(seed)
     vs = rng.normal(size=(samples, n))
-    vs /= np.array([_raw_norm(v, p) for v in vs])[:, None]
+    vs /= _raw_norm_rows(vs, p)[:, None]
 
     def quot(h):
         M = eye + h * B
-        return (max(_raw_norm(M @ v, p) for v in vs) - 1.0) / h
+        return (_raw_norm_rows(vs @ M.T, p).max() - 1.0) / h
 
     val = _ladder_limit(quot)
     return RateEstimate(float(val), SAMPLED, samples=samples, note="h-ladder limit")
 
 
-def operator_rate(A, spec: NormSpec = NormSpec(), sampler=None, samples=200, seed=0) -> RateEstimate:
+def operator_rate(A, spec: NormSpec = NormSpec(), samples=200, seed=0) -> RateEstimate:
     """sup of sip(v, Av)/||v||^2 over v != 0 in the given norm.
 
     Equals the log norm; closed forms where available, otherwise a sampled
@@ -446,20 +486,8 @@ def operator_rate(A, spec: NormSpec = NormSpec(), sampler=None, samples=200, see
     # sampled numerical range in the (possibly weighted/stacked) norm
     rng = np.random.default_rng(seed)
     vs = rng.normal(size=(samples, A.shape[1]))
-
-    def quot(v):
-        nv = norm(v, spec)
-        if nv < 1e-150:
-            return -math.inf
-        return sip(v, A @ v, spec) / nv**2
-
-    best_v, best = None, -math.inf
-    for v in vs:
-        val = quot(v)
-        if val > best:
-            best, best_v = val, v
-    _, best, used = _ascent_max(quot, best_v, step=0.1)
-    return RateEstimate(float(best), SAMPLED, samples=samples, ascent_iters=used)
+    best, used, _ = _sampled_sup(lambda _, V: _quotients(V, V @ A.T, spec, 1e-150), vs, step=0.1, k=1)
+    return RateEstimate(best, SAMPLED, samples=samples, ascent_iters=used)
 
 
 # --------------------------------------------------------- rate functionals
@@ -499,39 +527,20 @@ def integral_rate(
         raise DegenerateArgumentError("sampled rate needs a DomainSampler")
     a, b = sampler.pairs()
     n = sampler.dim
+    proj = sampler.region.project
 
-    def quot_at(t, u, v):
-        d = u - v
-        nd = norm(d, spec)
-        if nd < 1e-12:
-            return -math.inf
-        return sip(d, f(t, u) - f(t, v), spec) / nd**2
+    def quot(t, X):
+        # fields take one point at a time; only the quotients are batched
+        F = np.array([f(t, u) - f(t, v) for u, v in zip(X[:, :n], X[:, n:])])
+        return _quotients(X[:, :n] - X[:, n:], F, spec, 1e-12)
 
-    evaluations = []
-    for t in times:
-        for u, v in zip(a, b):
-            evaluations.append((quot_at(t, u, v), t, u, v))
-    evaluations.sort(key=lambda r: r[0], reverse=True)
-    best = evaluations[0][0]
-    used_total = 0
-    step = 0.05 * max(sampler.region.scale, 1e-6)
-    if step > 0:
-        proj = sampler.region.project
+    def project(x):
+        return np.concatenate([proj(x[:n]), proj(x[n:])])
 
-        for val, t, u, v in evaluations[:ascent_starts]:
-
-            def obj(x, t=t):
-                return quot_at(t, x[:n], x[n:])
-
-            def project(x):
-                return np.concatenate([proj(x[:n]), proj(x[n:])])
-
-            _, got, used = _ascent_max(obj, np.concatenate([u, v]), step, project)
-            used_total += used
-            best = max(best, got)
-    return RateEstimate(
-        float(best), SAMPLED, samples=len(evaluations), ascent_iters=used_total
+    best, used, vals = _sampled_sup(
+        quot, np.hstack([a, b]), _region_step(sampler.region), ascent_starts, project=project, times=times
     )
+    return RateEstimate(best, SAMPLED, samples=len(vals), ascent_iters=used)
 
 
 def differential_rate(
@@ -553,28 +562,12 @@ def differential_rate(
             return est
     if sampler is None:
         raise DegenerateArgumentError("sampled rate needs a DomainSampler")
-    pts = sampler.points()
 
     def mu_at(t, u):
-        J = f.jacobian(t, u)
-        return operator_rate(J, spec, samples=64, seed=sampler.seed).value
+        return operator_rate(f.jacobian(t, u), spec, samples=64, seed=sampler.seed).value
 
-    evaluations = []
-    for t in times:
-        for u in pts:
-            evaluations.append((mu_at(t, u), t, u))
-    evaluations.sort(key=lambda r: r[0], reverse=True)
-    best = evaluations[0][0]
-    used_total = 0
-    step = 0.05 * max(sampler.region.scale, 1e-6)
-    if step > 0:
-        for val, t, u in evaluations[:ascent_starts]:
-            _, got, used = _ascent_max(
-                lambda x, t=t: mu_at(t, x), u, step, sampler.region.project, iters=25
-            )
-            used_total += used
-            best = max(best, got)
-    return RateEstimate(float(best), SAMPLED, samples=len(evaluations), ascent_iters=used_total)
+    best, used, vals = _state_sup(mu_at, sampler, times, ascent_starts)
+    return RateEstimate(best, SAMPLED, samples=len(vals), ascent_iters=used)
 
 
 # ----------------------------------------------------------- weights
@@ -648,7 +641,6 @@ def weighted_rate(
     fam = theta if isinstance(theta, WeightFamily) else WeightFamily(theta=theta)
     if sampler is None:
         raise DegenerateArgumentError("varying weights need a DomainSampler")
-    pts = sampler.points()
 
     def rate_at(t, u):
         W = fam.matrix(t, u)
@@ -656,21 +648,8 @@ def weighted_rate(
         G = fam.total_derivative(t, u, f(t, u)) + W @ J
         return operator_rate(G @ np.linalg.inv(W), spec, samples=64, seed=sampler.seed).value
 
-    evaluations = [(rate_at(t, u), t, u) for t in times for u in pts]
-    evaluations.sort(key=lambda r: r[0], reverse=True)
-    best = evaluations[0][0]
-    used_total = 0
-    step = 0.05 * max(sampler.region.scale, 1e-6)
-    if step > 0:
-        for val, t, u in evaluations[:2]:
-            _, got, used = _ascent_max(
-                lambda x, t=t: rate_at(t, x), u, step, sampler.region.project, iters=25
-            )
-            used_total += used
-            best = max(best, got)
-    return RateEstimate(
-        float(best), SAMPLED, samples=len(evaluations), ascent_iters=used_total, note="varying weight"
-    )
+    best, used, vals = _state_sup(rate_at, sampler, times, 2)
+    return RateEstimate(best, SAMPLED, samples=len(vals), ascent_iters=used, note="varying weight")
 
 
 # ----------------------------------------------------- norm comparison

@@ -3,9 +3,9 @@
 Every rate computed by this package is a supremum of quotients built from
 a norm and the semi-inner product compatible with it.  This module owns
 those primitives: weighted and stacked l^p norms, their right/left
-semi-inner products in closed form, a slow difference-quotient reference
-for the same quantity, and one-sided derivative estimates for scalar
-signals.
+semi-inner products in closed form, row-wise forms of both for stacks of
+probes (norm_rows, sip_rows), a slow difference-quotient reference for
+the same quantity, and one-sided derivative estimates for scalar signals.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ __all__ = [
     "NormSpec",
     "as_vector",
     "norm",
+    "norm_rows",
     "sip",
+    "sip_rows",
     "complex_sip",
     "gateaux_sip",
     "dini_plus",
@@ -128,6 +130,18 @@ def _raw_norm(x: np.ndarray, p: float) -> float:
     return float((a**p).sum() ** (1.0 / p))
 
 
+def _raw_norm_rows(X: np.ndarray, p: float) -> np.ndarray:
+    """_raw_norm of every row of X."""
+    a = np.abs(X)
+    if p == math.inf:
+        return a.max(axis=1)
+    if p == 1.0:
+        return a.sum(axis=1)
+    if p == 2.0:
+        return np.sqrt((a * a).sum(axis=1))
+    return (a**p).sum(axis=1) ** (1.0 / p)
+
+
 def norm(v, spec: NormSpec = NormSpec()) -> float:
     """Weighted (or stacked) l^p norm of v under spec."""
     v = as_vector(v, dtype=complex if spec.field_kind == "complex" else None)
@@ -187,6 +201,77 @@ def sip(u, v, spec: NormSpec = NormSpec(), side: str = "plus") -> float:
     if u.shape != v.shape:
         raise DimensionError(f"shape mismatch {u.shape} vs {v.shape}")
     return _sip_raw(_transform(u, spec), _transform(v, spec), spec.p, side)
+
+
+def _as_rows(entries, dtype=None) -> np.ndarray:
+    """Validate and return a 2-d stack of nonempty rows with finite entries."""
+    V = np.asarray(entries, dtype=dtype)
+    if V.ndim != 2 or V.shape[1] == 0:
+        raise DimensionError(f"expected a 2-d stack of nonempty rows, got shape {V.shape}")
+    if not np.isfinite(V).all():
+        raise DegenerateArgumentError("vector has non-finite entries")
+    return V
+
+
+def _transform_rows(V: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """_transform applied to every row of V."""
+    if spec.weight is not None:
+        if spec.weight.shape[1] != V.shape[1]:
+            raise DimensionError(
+                f"weight acts on dimension {spec.weight.shape[1]}, vectors have {V.shape[1]}"
+            )
+        return V @ spec.weight.T
+    if spec.stack:
+        parts = [V]
+        for op in spec.stack:
+            if op.shape[1] != V.shape[1]:
+                raise DimensionError("stack operator does not match vector dimension")
+            parts.append(V @ op.T)
+        return np.concatenate(parts, axis=1)
+    return V
+
+
+def _sip_rows_raw(U: np.ndarray, W: np.ndarray, p: float) -> np.ndarray:
+    """_sip_raw(u, w, p, 'plus') for every row pair of U and W."""
+    nu = _raw_norm_rows(U, p)
+    if (nu == 0.0).any():
+        raise DegenerateArgumentError("semi-inner product undefined at u = 0")
+    re = np.real(U.conj() * W)
+    if p == 2.0:
+        return re.sum(axis=1)
+    a = np.abs(U)
+    if p == 1.0:
+        zero = a <= ZERO_COORD_TOL
+        live = np.divide(re, a, out=np.zeros(a.shape), where=~zero)
+        return nu * (live.sum(axis=1) + np.where(zero, np.abs(W), 0.0).sum(axis=1))
+    if p == math.inf:
+        top = a >= a.max(axis=1, keepdims=True) * (1.0 - ARGMAX_REL_TOL)
+        slopes = np.divide(re, a, out=np.full(a.shape, -math.inf), where=top)
+        return nu * slopes.max(axis=1)
+    # zero coordinates contribute nothing; below p=2 their power is infinite
+    powers = a ** (p - 2.0) if p > 2.0 else np.power(a, p - 2.0, out=np.zeros(a.shape), where=a > 0.0)
+    return nu ** (2.0 - p) * (powers * re).sum(axis=1)
+
+
+def norm_rows(V, spec: NormSpec = NormSpec()) -> np.ndarray:
+    """Row-wise norm: entry i equals norm(V[i], spec)."""
+    V = _as_rows(V, dtype=complex if spec.field_kind == "complex" else None)
+    return _raw_norm_rows(_transform_rows(V, spec), spec.p)
+
+
+def sip_rows(U, W, spec: NormSpec = NormSpec()) -> np.ndarray:
+    """Row-wise right semi-inner product: entry i equals sip(U[i], W[i], spec).
+
+    Same closed forms and the same checks as sip with side='plus', applied
+    to every row at once: a zero row of U, a non-finite entry or a shape
+    mismatch raises as sip would.
+    """
+    dtype = complex if spec.field_kind == "complex" else None
+    U = _as_rows(U, dtype=dtype)
+    W = _as_rows(W, dtype=dtype)
+    if U.shape != W.shape:
+        raise DimensionError(f"shape mismatch {U.shape} vs {W.shape}")
+    return _sip_rows_raw(_transform_rows(U, spec), _transform_rows(W, spec), spec.p)
 
 
 def complex_sip(u, v, spec: NormSpec) -> complex:

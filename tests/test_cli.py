@@ -270,6 +270,16 @@ def test_reports_are_byte_identical(tmp_path):
     assert (out1 / "wall_time.txt").exists()  # timing lives outside the report
 
 
+def test_sampled_rate_entry_keeps_its_counts(tmp_path):
+    doc = {"kind": "measure", "seed": 4, "parameters": {"matrix": [[-2, 1], [0, -3]], "p": 3}}
+    _, rep, out1 = run_scen(tmp_path, "ca", doc)
+    _, _, out2 = run_scen(tmp_path, "cb", doc)
+    entry = rep["results"]["lognorm"]
+    assert entry["kind"] == "sampled-lower-bound"
+    assert (entry["samples"], entry["ascent_iters"]) == (200, 40)
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
 def test_seed_override_is_echoed(tmp_path):
     doc = {"kind": "measure", "seed": 4, "parameters": {"matrix": [[-1]], "p": 2}}
     _, rep, _ = run_scen(tmp_path, "seed", doc, seed=9)

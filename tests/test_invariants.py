@@ -240,6 +240,28 @@ def test_manifold_projection_consistency_with_subspace():
     assert abs(r1 - r2) < 1e-9
 
 
+def test_sampled_certificate_rates_pinned():
+    # (samples, ascent_iters, value) at fixed seeds, recorded from the
+    # per-probe implementation (one scalar sip call per probe direction and
+    # one scalar objective call per gradient coordinate) at commit 694cde0,
+    # before these rates moved onto the batched sampling engine; the engine must take the same
+    # probes and ascent steps.
+    def g(u):
+        return np.array([-u[0] + u[1] ** 2, -2.0 * u[1] - u[1] ** 3])
+
+    sub = SubspaceSpec(np.diag([1.0, 0.0]))
+    samp = box_sampler([-1, -1], [1, 1], count=30, seed=11)
+    rate = subspace_certificate(VectorField.autonomous(g, 2), sub, samp, NormSpec(p=3.0)).rate
+    assert (rate.kind, rate.samples, rate.ascent_iters) == ("sampled-lower-bound", 960, 50)
+    assert rate.value == pytest.approx(-2.0000000000010223, rel=1e-8)
+
+    seeds = DomainSampler(Sphere(np.zeros(2), 1.3), count=6, seed=2)
+    amb = DomainSampler(Ball(np.zeros(2), 1.5), count=20, seed=4)
+    rate = manifold_certificate(hopf_field(), circle_manifold(), seeds, amb).rate
+    assert (rate.kind, rate.samples, rate.ascent_iters) == ("sampled-lower-bound", 320, 50)
+    assert rate.value == pytest.approx(0.9999999998961467, rel=1e-8)
+
+
 # ----------------------------------------------------------- symmetries
 
 

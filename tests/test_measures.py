@@ -221,6 +221,80 @@ def test_differential_rate_affine_and_fd_jacobian():
     assert est_fd.value == pytest.approx(est.value, abs=1e-5)
 
 
+# ------------------------------------------------- sampled-engine pins
+
+# (samples, ascent_iters, value) at fixed seeds, recorded from the
+# per-probe implementation (scalar sip/norm calls and one scalar objective
+# call per gradient coordinate) at commit 694cde0, before the sampled
+# suprema moved onto the batched engine.  The engine evaluates the same
+# probes and takes the same ascent steps, so the counts must match exactly
+# and the values up to rounding in the row kernels.
+_PINNED_A = np.random.default_rng(21).normal(size=(5, 5)) - 1.5 * np.eye(5)
+_PINNED_W = np.random.default_rng(22).normal(size=(3, 3))
+_BOX3 = Box((-2.0,) * 3, (2.0,) * 3)
+
+
+def _pinned_tanh_net():
+    W = _PINNED_W
+    return VectorField(
+        fn=lambda t, u: -u + W @ np.tanh(u),
+        dim=3,
+        jac=lambda t, u: -np.eye(3) + W * (1.0 - np.tanh(u) ** 2)[None, :],
+    )
+
+
+def _assert_pinned(est, samples, ascent_iters, value):
+    assert est.kind == "sampled-lower-bound"
+    assert (est.samples, est.ascent_iters) == (samples, ascent_iters)
+    assert est.value == pytest.approx(value, rel=1e-8)
+
+
+def test_operator_rate_sampled_pinned():
+    diff = np.eye(5, k=1) - np.eye(5)
+    cases = (
+        (NormSpec(p=1.5), 0.20675264745565353),
+        (NormSpec(p=3.0), 0.7151028411037733),
+        (NormSpec(p=3.0, stack=(diff,)), 0.7719680786362477),
+    )
+    for spec, value in cases:
+        _assert_pinned(operator_rate(_PINNED_A, spec, seed=4), 200, 50, value)
+
+
+def test_integral_and_differential_rate_pinned():
+    f = _pinned_tanh_net()
+    spec = NormSpec(p=3.0)
+    est = integral_rate(f, DomainSampler(_BOX3, count=30, seed=5), spec)
+    _assert_pinned(est, 30, 250, 0.9190120473872431)
+    est = differential_rate(f, DomainSampler(_BOX3, count=8, seed=6), spec, ascent_starts=1)
+    _assert_pinned(est, 8, 25, 0.9594020044034365)
+
+
+def test_weighted_rate_varying_pinned():
+    f = VectorField.autonomous(
+        lambda u: np.array([-u[0] + 0.5 * math.sin(u[1]), -2.0 * u[1] + 0.3 * u[0] ** 2]), 2
+    )
+    fam = WeightFamily(theta=lambda t, u: np.array([[1.0 + 0.2 * u[0] ** 2, 0.0], [0.1 * u[1], 1.0]]))
+    samp = DomainSampler(Box((-1.0, -1.0), (1.0, 1.0)), count=20, seed=7)
+    est = weighted_rate(f, fam, NormSpec(p=2.0), mode="varying", sampler=samp)
+    _assert_pinned(est, 20, 50, -0.9212277899052711)
+
+
+def test_sampled_sup_never_ascends_from_nan_or_minus_inf():
+    from sipkit.measures import _sampled_sup
+
+    starts = np.array([[0.0], [1.0], [2.0], [3.0]])
+
+    def objective_rows(t, X):
+        if X is starts:
+            return np.array([np.nan, -np.inf, 1.0, 0.5])
+        return -((X[:, 0] - 2.5) ** 2)
+
+    best, used, vals = _sampled_sup(objective_rows, starts, step=0.1, k=4, iters=1)
+    assert used == 2  # one iteration from each of the two finite starts
+    assert best == 1.0
+    assert vals.shape == (4,)
+
+
 # ------------------------------------------------------------- weights
 
 

@@ -23,7 +23,9 @@ from sipkit.spaces import (
     dini_plus,
     gateaux_sip,
     norm,
+    norm_rows,
     sip,
+    sip_rows,
 )
 
 P_GRID = (1.0, 1.5, 2.0, 3.0, math.inf)
@@ -166,6 +168,78 @@ def test_sip_weighted_equals_sip_of_transformed():
             u = rng.normal(size=3)
             v = rng.normal(size=3)
             assert sip(u, v, wspec) == pytest.approx(sip(th @ u, th @ v, plain), rel=1e-12)
+
+
+# ------------------------------------------------------------ row kernels
+
+
+def _row_specs(p):
+    rng = np.random.default_rng(19)
+    weight = 2.0 * np.eye(4) + 0.3 * rng.normal(size=(4, 4))
+    diff = np.eye(4, k=1) - np.eye(4)
+    return [NormSpec(p=p), NormSpec(p=p, weight=weight), NormSpec(p=p, stack=(diff, diff @ diff))]
+
+
+def _row_probes(rng, complex_field=False):
+    U = rng.normal(size=(40, 4))
+    W = rng.normal(size=(40, 4))
+    if complex_field:
+        U = U + 1j * rng.normal(size=U.shape)
+        W = W + 1j * rng.normal(size=W.shape)
+    U[:6, 1] = 0.0  # exact zeros: the p=1 kink
+    U[6:9, :2] = 0.0
+    U[9] = [2.0, -2.0, 1.0, 2.0]  # tied maxima: the p=inf argmax set
+    U[10] = [-1.0, 1.0, -1.0, 1.0]
+    U[11] = [0.0, 3.0, 0.0, -3.0]
+    return U, W
+
+
+def test_row_kernels_match_scalar_forms():
+    rng = np.random.default_rng(23)
+    for p in P_GRID:
+        cases = [(spec, False) for spec in _row_specs(p)]
+        cases.append((NormSpec(p=p, field_kind="complex"), True))
+        for spec, complex_field in cases:
+            U, W = _row_probes(rng, complex_field)
+            want_norm = [norm(u, spec) for u in U]
+            want_sip = [sip(u, w, spec) for u, w in zip(U, W)]
+            np.testing.assert_allclose(norm_rows(U, spec), want_norm, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(sip_rows(U, W, spec), want_sip, rtol=1e-12, atol=0.0)
+            # norm compatibility carries over row by row
+            np.testing.assert_allclose(sip_rows(U, U, spec), norm_rows(U, spec) ** 2, rtol=1e-12)
+        # real bases against complex images, as for a complex matrix in a real spec
+        U, W = _row_probes(rng, complex_field=True)
+        U = U.real
+        want_sip = [sip(u, w, spec_of(p)) for u, w in zip(U, W)]
+        np.testing.assert_allclose(sip_rows(U, W, spec_of(p)), want_sip, rtol=1e-12, atol=0.0)
+
+
+def test_row_kernels_one_sided_cases():
+    # p=1: a zero coordinate of u contributes |w_i| from the right
+    assert sip_rows([[1.0, 0.0]], [[0.0, -2.0]], spec_of(1.0))[0] == pytest.approx(2.0)
+    # p=inf: the right form takes the largest slope over the tied maxima
+    assert sip_rows([[2.0, -2.0]], [[1.0, 1.0]], spec_of(math.inf))[0] == pytest.approx(2.0)
+
+
+def test_row_kernels_raise_the_scalar_errors():
+    for p in P_GRID:
+        spec = spec_of(p)
+        with pytest.raises(DegenerateArgumentError):
+            sip_rows([[1.0, 2.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]], spec)
+        with pytest.raises(DegenerateArgumentError):
+            sip_rows([[1.0, 2.0]], [[1.0, np.nan]], spec)
+        with pytest.raises(DegenerateArgumentError):
+            sip_rows([[np.inf, 2.0]], [[1.0, 1.0]], spec)
+        with pytest.raises(DegenerateArgumentError):
+            norm_rows([[1.0, 2.0], [np.nan, 0.0]], spec)
+        with pytest.raises(DimensionError):
+            sip_rows([[1.0, 2.0]], [[1.0, 2.0, 3.0]], spec)
+        with pytest.raises(DimensionError):
+            norm_rows([1.0, 2.0], spec)
+        with pytest.raises(DimensionError):
+            norm_rows([[1.0, 2.0, 3.0]], NormSpec(p=p, weight=np.eye(2)))
+        with pytest.raises(DimensionError):
+            sip_rows([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]], NormSpec(p=p, stack=(np.eye(2),)))
 
 
 # ------------------------------------------------------- complex field
