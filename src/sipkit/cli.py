@@ -37,6 +37,7 @@ from .measures import SAMPLED, Ball, DomainSampler, Points, RateEstimate, Sphere
 from .mirror import RegressionProblem, mirror_descent_run
 from .pdelab import (
     Grid1D,
+    _central_difference,
     build_laplacian,
     conservation_rate,
     demean,
@@ -310,7 +311,7 @@ def _run_pde_claw(params, seed, outdir):
     profiles = np.array([a * np.sin(2.0 * np.pi * x / grid.length) for a in (0.5 * amp, amp)])
     sampler = DomainSampler(Points(profiles), count=len(profiles), seed=seed)
     rep = conservation_rate(flux, grid, sampler)
-    Dc = (np.roll(np.eye(grid.n), -1, axis=1) - np.roll(np.eye(grid.n), 1, axis=1)) / (2.0 * grid.h)
+    Dc = _central_difference(grid)
     claw = VectorField(lambda t, u: -(Dc @ flux(u)), grid.n, name=name)
     u0 = 0.3 + 0.1 * amp * np.sin(2.0 * np.pi * x / grid.length)
     tr = integrate(claw, u0, tuple(params["t_span"]), float(params.get("h_t", 1e-3)))

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import DegenerateArgumentError, DimensionError
 from .flows import integrate, overshoot_fit
@@ -418,6 +417,8 @@ def _range_point(B, target):
     form sweeps the full numerical range (an ellipse); the modulus
     condition is a real quadratic in s solved in closed form.
     """
+    from scipy.linalg import schur
+
     T, Z = schur(np.asarray(B, dtype=complex), output="complex")
     t00, t11, t01 = T[0, 0], T[1, 1], T[0, 1]
     d = t11 - t00

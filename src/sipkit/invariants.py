@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import orth
 
 from .errors import (
     DegenerateArgumentError,
@@ -209,7 +208,9 @@ def _projected_rate_linear(A, Q, spec: NormSpec):
     if spec.weight is not None or spec.stack:
         return None
     if spec.p == 2.0:
-        V = orth(Q)
+        # orthonormal range of Q, with scipy.linalg.orth's rank rule
+        U, sv, _ = np.linalg.svd(Q)
+        V = U[:, sv > sv[0] * max(Q.shape) * np.finfo(float).eps]
         M = V.T @ Q @ A @ V
         val = float(np.linalg.eigvalsh((M + M.T) / 2.0)[-1])
         return RateEstimate(val, EIGEN, note="compressed to complement range")

@@ -2,11 +2,12 @@
 
 Finite-difference Laplacians for dirichlet, neumann, and periodic
 boundaries (all built as -D^T D from the bc-consistent first difference,
-hence symmetric with exact summation by parts), spectral-gap rates,
-method-of-lines reaction-diffusion simulation, pattern suppression and
-excitation reports, Sobolev-type stacked rates, conservation-law rate
-analysis on the mass-zero subspace, and a contraction-backed fixed-point
-solver for time-independent equations.
+hence symmetric with exact summation by parts), spectral-gap rates in
+closed form (no operator is built or eigensolved), method-of-lines
+reaction-diffusion simulation, pattern suppression and excitation
+reports, Sobolev-type stacked rates, conservation-law rate analysis on
+the mass-zero subspace, and a contraction-backed fixed-point solver for
+time-independent equations.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import orth
 
 from .errors import (
     CertificateRefusedError,
@@ -154,36 +154,23 @@ def _first_difference(grid: Grid1D):
     """
     n, h = grid.n, grid.h
     if grid.bc == "periodic":
-        D = -np.eye(n) + np.roll(np.eye(n), -1, axis=1)
-        return D / h
+        return (np.roll(np.eye(n), -1, axis=1) - np.eye(n)) / h
     if grid.bc == "dirichlet":
-        D = np.zeros((n + 1, n))
-        for i in range(n + 1):
-            if i < n:
-                D[i, i] = 1.0
-            if i > 0:
-                D[i, i - 1] = -1.0
-        return D / h
-    D = np.zeros((n - 1, n))
-    for i in range(n - 1):
-        D[i, i] = -1.0
-        D[i, i + 1] = 1.0
-    return D / h
+        return (np.eye(n + 1, n) - np.eye(n + 1, n, k=-1)) / h
+    return np.diff(np.eye(n), axis=0) / h
 
 
-def _plain_forward(m, h):
-    D = np.zeros((m - 1, m))
-    for i in range(m - 1):
-        D[i, i] = -1.0
-        D[i, i + 1] = 1.0
-    return D / h
+def _central_difference(grid: Grid1D):
+    """Periodic central difference (u_{i+1} - u_{i-1}) / (2h), skew."""
+    D = _first_difference(grid)
+    return (D - D.T) / 2.0
 
 
 def difference_operator(grid, order: int = 1):
     """Order-th difference operator consistent with the grid's bc.
 
     Periodic grids compose the circulant first difference; bounded grids
-    chain interior forward differences after the bc-aware first one.
+    take interior forward differences of the bc-aware first one.
     2-d grids support order 1 only (stacked axis gradients).
     """
     if order < 1 or order > 4:
@@ -201,7 +188,7 @@ def difference_operator(grid, order: int = 1):
     if grid.bc == "periodic":
         return np.linalg.matrix_power(D, order)
     for _ in range(order - 1):
-        D = _plain_forward(D.shape[0], grid.h) @ D
+        D = np.diff(D, axis=0) / grid.h
     return D
 
 
@@ -240,9 +227,9 @@ class SobolevSpec:
 
 
 def mass_zero_basis(n: int):
-    """Orthonormal basis of the mean-zero subspace (columns)."""
-    P = np.eye(n) - np.full((n, n), 1.0 / n)
-    return orth(P)
+    """Orthonormal basis of the mean-zero subspace (columns): the Q
+    factor of the n - 1 neighbour differences, which span it."""
+    return np.linalg.qr(np.diff(np.eye(n), axis=0).T)[0]
 
 
 def demean(u):
@@ -280,20 +267,21 @@ class DemeanedRegion:
 def poincare_rate(grid, spec: NormSpec = NormSpec()) -> RateEstimate:
     """l2 rate of the (projected) Laplacian: the negated spectral gap.
 
-    dirichlet: largest eigenvalue of the Laplacian (tends to -pi^2 per
-    unit axis); periodic: largest eigenvalue off the constant mode
-    (tends to -4 pi^2); neumann: the constant mode stays, so the rate
-    degenerates to 0 (flagged, not an error).
+    Closed forms of the Kronecker-summed axis spectra.  dirichlet: the
+    top eigenvalue, sum over axes of -(4/h^2) sin^2(pi / (2(n+1))) (tends
+    to -pi^2 per unit axis); periodic: the top eigenvalue off the
+    constant mode, max over axes of -(4/h^2) sin^2(pi / n) (tends to
+    -4 pi^2); neumann: the constant mode stays, so the rate degenerates
+    to 0 (flagged, not an error).
     """
     if spec.p != 2.0 or spec.weight is not None or spec.stack:
         raise UnsupportedNormError("spectral-gap rate is an l2 computation")
-    L = build_laplacian(grid)
+    axes = grid.axes if isinstance(grid, Grid2D) else (grid,)
     if grid.bc == "dirichlet":
-        val = float(np.linalg.eigvalsh(L)[-1])
+        val = sum(-(4.0 / g.h**2) * math.sin(math.pi / (2 * (g.n + 1))) ** 2 for g in axes)
         return RateEstimate(val, EIGEN)
     if grid.bc == "periodic":
-        V = mass_zero_basis(L.shape[0])
-        val = float(np.linalg.eigvalsh(V.T @ L @ V)[-1])
+        val = max(-(4.0 / g.h**2) * math.sin(math.pi / g.n) ** 2 for g in axes)
         return RateEstimate(val, EIGEN, note="mass-zero projection applied")
     return RateEstimate(0.0, EIGEN, note="degenerate: constant mode is invariant")
 
@@ -600,8 +588,7 @@ def conservation_rate(
     if grid.bc != "periodic":
         raise DegenerateArgumentError("conservation analysis assumes a periodic grid")
     N = grid.n
-    h = grid.h
-    Dc = (np.roll(np.eye(N), -1, axis=1) - np.roll(np.eye(N), 1, axis=1)) / (2.0 * h)
+    Dc = _central_difference(grid)
     V = mass_zero_basis(N)
 
     def rate_of(u):

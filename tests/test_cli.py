@@ -307,3 +307,18 @@ def test_console_module_entry(tmp_path):
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is imported inside the few functions that need it, so
+    # a fresh `import sipkit` (CLI start-up included) does not pay for it.
+    import_path = [str(Path(sipkit.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        import_path.append(os.environ["PYTHONPATH"])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sipkit, sipkit.cli, sys; assert 'scipy.linalg' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(import_path)},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -88,6 +88,33 @@ def test_difference_operator_shapes_and_composition():
         difference_operator(Grid2D(4, "dirichlet"), 2)
 
 
+def forward_stencil(m, k, h):
+    # k-th forward difference on m points: row i holds (-1)^(k-j) C(k, j) / h^k at i + j
+    S = np.zeros((m - k, m))
+    for i in range(m - k):
+        for j in range(k + 1):
+            S[i, i + j] = (-1) ** (k - j) * math.comb(k, j) / h**k
+    return S
+
+
+def test_difference_operator_higher_orders_match_stencils():
+    for n, length in ((10, 1.0), (13, 2.5)):
+        gn = Grid1D(n, "neumann", length)
+        gd = Grid1D(n, "dirichlet", length)
+        for k in (2, 3, 4):
+            # neumann: interior differences; dirichlet: differences of the
+            # zero-padded vector (u_0 = u_{n+1} = 0), padded columns dropped
+            for D, S in (
+                (difference_operator(gn, k), forward_stencil(n, k, gn.h)),
+                (difference_operator(gd, k), forward_stencil(n + 2, k, gd.h)[:, 1:-1]),
+            ):
+                assert D.shape == S.shape
+                assert np.max(np.abs(D - S)) <= 1e-12 * np.max(np.abs(S))
+    g = Grid1D(6, "neumann")
+    D2 = difference_operator(g, 2) * g.h**2
+    assert np.allclose(D2[1], [0.0, 1.0, -2.0, 1.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+
+
 def test_grid_validation_and_spacing():
     assert Grid1D(7, "dirichlet").h == 1.0 / 8.0
     assert Grid1D(8, "periodic").h == 1.0 / 8.0
@@ -140,6 +167,56 @@ def test_poincare_neumann_degenerate_flag():
 def test_poincare_rejects_other_norms():
     with pytest.raises(UnsupportedNormError):
         poincare_rate(Grid1D(16, "dirichlet"), NormSpec(p=1.0))
+
+
+GAP_GRIDS = (
+    Grid1D(17, "dirichlet"),
+    Grid1D(11, "dirichlet", length=2.5),
+    Grid1D(16, "periodic"),
+    Grid1D(9, "periodic", length=0.7),
+    Grid2D((5, 9), "dirichlet", lengths=(0.8, 1.3)),
+    Grid2D((5, 9), "periodic", lengths=(0.8, 1.3)),
+)
+
+
+@pytest.mark.parametrize("grid", GAP_GRIDS, ids=lambda g: f"{g.bc}-{g.ndim}d-{g.size}")
+def test_poincare_matches_dense_spectrum(grid):
+    L = build_laplacian(grid)
+    if grid.bc == "periodic":
+        V = mass_zero_basis(grid.size)
+        L = V.T @ L @ V
+    want = np.linalg.eigvalsh(L)[-1]
+    assert abs(poincare_rate(grid).value - want) <= 1e-12 * abs(want)
+
+
+def test_poincare_builds_no_operator(monkeypatch):
+    import sipkit.pdelab as pdelab
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("poincare_rate must not build or eigensolve an operator")
+
+    monkeypatch.setattr(pdelab, "build_laplacian", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    g = Grid2D((60, 60), "dirichlet", lengths=(1.0, 2.0))
+    want = sum(-(4.0 / ax.h**2) * math.sin(math.pi / 122) ** 2 for ax in g.axes)
+    assert abs(poincare_rate(g).value - want) <= 1e-12 * abs(want)
+    r = poincare_rate(Grid2D((60, 60), "periodic"))
+    assert abs(r.value + 4.0 * math.pi**2) <= 0.01 * 4.0 * math.pi**2
+    assert r.note == "mass-zero projection applied"
+
+
+def test_poincare_neumann_2d_degenerate_flag():
+    r = poincare_rate(Grid2D((5, 9), "neumann", lengths=(0.8, 1.3)))
+    assert r.value == 0.0
+    assert "degenerate" in r.note
+
+
+@pytest.mark.parametrize("n", (3, 8, 64))
+def test_mass_zero_basis_orthonormal_and_mean_free(n):
+    V = mass_zero_basis(n)
+    assert V.shape == (n, n - 1)
+    assert np.max(np.abs(V.T @ V - np.eye(n - 1))) <= 1e-12
+    assert np.max(np.abs(V.sum(axis=0))) <= 1e-12
 
 
 # -------------------------------------------------------------- simulate
