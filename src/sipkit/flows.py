@@ -4,6 +4,10 @@ A fixed-step classical Runge-Kutta integrator (deterministic and
 reproducible by construction), co-integration of linearized
 perturbations, and the certificate machinery that checks claimed decay
 envelopes kappa * exp(lambda (t - s)) against simulated pair distances.
+One stepper, _rk4, advances a single state or an (m, n) stack of states:
+integrate is its single-state case, and verify_contraction integrates
+all of its starts as one stack and takes every pair distance with one
+norm_rows call.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateArgumentError, DivergenceError
+from .errors import DegenerateArgumentError, DimensionError, DivergenceError
 from .measures import BLOWUP, VectorField
-from .spaces import NormSpec, norm
+from .spaces import NormSpec, norm_rows
 
 __all__ = [
     "Trajectory",
@@ -53,49 +57,57 @@ class Trajectory:
         return self.states[k]
 
 
-def _span(t_span):
+def _span(t_span, h):
     try:
         t0, t1 = float(t_span[0]), float(t_span[1])
     except TypeError:
         t0, t1 = 0.0, float(t_span)
     if not t1 > t0:
         raise DegenerateArgumentError(f"need t1 > t0, got ({t0}, {t1})")
+    if not h > 0:
+        raise DegenerateArgumentError("step must be positive")
     return t0, t1
 
 
-def _rk4_step(f, t, u, h):
-    k1 = f(t, u)
-    k2 = f(t + 0.5 * h, u + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, u + 0.5 * h * k2)
-    k4 = f(t + h, u + h * k3)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(f, U, t0, t1, h):
+    """Classical RK4 from t0 to t1 of one state (n,) or a stack (m, n).
+
+    The step is rescaled to divide the span exactly so the sample grid is
+    uniform; DivergenceError is raised at the first step where any entry
+    leaves the finite range or crosses the blow-up sentinel.  Returns
+    (times, states, effective step) with states[k] the state or stack at
+    times[k].
+    """
+    n = max(1, int(round((t1 - t0) / h)))
+    h_eff = (t1 - t0) / n
+    out = np.empty((n + 1,) + U.shape)
+    out[0] = U
+    for k in range(n):
+        t = t0 + k * h_eff
+        k1 = f(t, U)
+        k2 = f(t + 0.5 * h_eff, U + 0.5 * h_eff * k1)
+        k3 = f(t + 0.5 * h_eff, U + 0.5 * h_eff * k2)
+        k4 = f(t + h_eff, U + h_eff * k3)
+        U = U + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(U).all() or np.abs(U).max() > BLOWUP:
+            raise DivergenceError(f"state blew up at t = {t + h_eff:.6g}", t=t + h_eff)
+        out[k + 1] = U
+    return t0 + np.arange(n + 1) * h_eff, out, h_eff
 
 
 def integrate(f: VectorField, u0, t_span, h: float) -> Trajectory:
-    """Classical fixed-step RK4.
+    """Classical fixed-step RK4 of one initial state.
 
     The step is rescaled to divide the span exactly so the sample grid is
     uniform; integration aborts with DivergenceError once the state norm
     crosses the blow-up sentinel.
     """
-    t0, t1 = _span(t_span)
-    if not h > 0:
-        raise DegenerateArgumentError("step must be positive")
-    n = max(1, int(round((t1 - t0) / h)))
-    h_eff = (t1 - t0) / n
+    t0, t1 = _span(t_span, h)
     u = np.array(u0, dtype=float)
     if u.ndim != 1:
         raise DegenerateArgumentError("initial state must be a vector")
-    out = np.empty((n + 1, u.shape[0]))
-    out[0] = u
-    for k in range(n):
-        t = t0 + k * h_eff
-        u = _rk4_step(f, t, u, h_eff)
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BLOWUP:
-            raise DivergenceError(f"state blew up at t = {t + h_eff:.6g}", t=t + h_eff)
-        out[k + 1] = u
-    times = t0 + np.arange(n + 1) * h_eff
-    return Trajectory(times=times, states=out, step=h_eff)
+    times, states, step = _rk4(f, u, t0, t1, h)
+    return Trajectory(times=times, states=states, step=step)
 
 
 def variational_flow(f: VectorField, u0, du0, t_span, h: float):
@@ -123,7 +135,7 @@ def variational_flow(f: VectorField, u0, du0, t_span, h: float):
 def distance_series(tr_a: Trajectory, tr_b: Trajectory, spec: NormSpec = NormSpec()) -> np.ndarray:
     if tr_a.states.shape != tr_b.states.shape:
         raise DegenerateArgumentError("trajectories have different shapes")
-    return np.array([norm(d, spec) for d in (tr_a.states - tr_b.states)])
+    return norm_rows(tr_a.states - tr_b.states, spec)
 
 
 def overshoot_fit(times, distances):
@@ -178,31 +190,35 @@ def verify_contraction(
 
     The inequality is checked on strided grid anchors (stride ~ N/50) for
     every s <= t, with tolerance atol + rtol * envelope.  The returned
-    fitted rate/overshoot come from the worst-decaying pair.
+    fitted rate/overshoot come from the worst-decaying pair.  All starts
+    are integrated as one stack, so a blow-up of any of them raises
+    DivergenceError.
     """
     if overshoot < 1.0:
         raise DegenerateArgumentError("overshoot constant below 1 is vacuous")
     if not pairs:
         raise DegenerateArgumentError("need at least one initial pair")
+    t0, t1 = _span(t_span, h)
+    starts = [np.asarray(u, dtype=float) for pair in pairs for u in pair]
+    if len(starts) != 2 * len(pairs) or any(u.shape != (f.dim,) for u in starts):
+        raise DimensionError(f"every pair needs two initial states of shape ({f.dim},)")
+    t, states, _ = _rk4(f, np.array(starts), t0, t1, h)
+    # distances of every pair at every time, column j for pair j
+    dist = norm_rows((states[:, 0::2] - states[:, 1::2]).reshape(-1, f.dim), spec).reshape(len(t), -1)
+    stride = max(1, len(t) // 50)
+    idx = np.arange(0, len(t), stride)
+    if idx[-1] != len(t) - 1:
+        idx = np.append(idx, len(t) - 1)
+    ts = t[idx]
+    growth = overshoot * np.exp(rate * (ts[None, :] - ts[:, None]))
+    upper = np.triu_indices(len(idx))
     worst_violation = -math.inf
     fitted = []
-    n_grid = 0
-    for u0, v0 in pairs:
-        tr_u = integrate(f, u0, t_span, h)
-        tr_v = integrate(f, v0, t_span, h)
-        d = distance_series(tr_u, tr_v, spec)
-        t = tr_u.times
-        stride = max(1, len(t) // 50)
-        idx = np.arange(0, len(t), stride)
-        if idx[-1] != len(t) - 1:
-            idx = np.append(idx, len(t) - 1)
-        n_grid = len(idx)
-        ts, ds = t[idx], d[idx]
+    for d in dist.T:
+        ds = d[idx]
         # all anchor pairs s <= t at once
-        dt = ts[None, :] - ts[:, None]
-        envelope = overshoot * np.exp(rate * dt) * ds[:, None]
+        envelope = growth * ds[:, None]
         viol = ds[None, :] - (envelope + atol + rtol * np.abs(envelope))
-        upper = np.triu_indices_from(viol, k=0)
         worst_violation = max(worst_violation, float(viol[upper].max()))
         try:
             fitted.append(overshoot_fit(t, d))
@@ -217,6 +233,6 @@ def verify_contraction(
         fitted_rate=worst_fit[0],
         fitted_overshoot=worst_fit[1],
         pairs_checked=len(pairs),
-        grid_points=n_grid,
+        grid_points=len(idx),
         tolerance=atol,
     )

@@ -227,12 +227,29 @@ class DomainSampler:
 # ---------------------------------------------------------- vector fields
 
 
+def _checked_value(u, out):
+    """out as an array, after checking that it has u's shape and is finite;
+    for a stack the error's point is the first row with a non-finite value."""
+    out = np.asarray(out)
+    if out.shape != u.shape:
+        raise EvaluationError(f"field returned shape {out.shape} for input shape {u.shape}", point=u)
+    if not np.isfinite(out).all():
+        point = u[np.argmin(np.isfinite(out).all(axis=1))] if u.ndim == 2 else u
+        raise EvaluationError("field returned non-finite values", point=point)
+    return out
+
+
 @dataclass
 class VectorField:
     """Time-varying field f(t, u) with an optional analytic Jacobian.
 
     ``matrix`` (and optional ``offset``) mark the field as affine, which
     rate functionals exploit to return exact values.
+
+    Calling the field on a state u of shape (n,) evaluates fn(t, u).  An
+    (m, n) stack of states returns the (m, n) stack of values: an affine
+    field takes it in one product U @ matrix.T (+ offset); any other field
+    is evaluated row by row, so fn only ever sees single states.
     """
 
     fn: Callable
@@ -262,14 +279,12 @@ class VectorField:
 
     def __call__(self, t, u):
         u = np.asarray(u)
-        out = np.asarray(self.fn(float(t), u))
-        if out.shape != u.shape:
-            raise EvaluationError(
-                f"field returned shape {out.shape} for input shape {u.shape}", point=u
-            )
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError("field returned non-finite values", point=u)
-        return out
+        if u.ndim != 2:
+            return _checked_value(u, self.fn(float(t), u))
+        if self.matrix is None:
+            return np.stack([_checked_value(row, self.fn(float(t), row)) for row in u])
+        out = u @ self.matrix.T
+        return _checked_value(u, out if self.offset is None else out + self.offset)
 
     def jacobian(self, t, u):
         u = np.asarray(u, dtype=float)

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from sipkit.errors import DegenerateArgumentError, DivergenceError
+from sipkit.errors import DegenerateArgumentError, DimensionError, DivergenceError, EvaluationError
 from sipkit.flows import (
     CertificateResult,
     Trajectory,
+    _rk4,
     distance_series,
     integrate,
     overshoot_fit,
@@ -191,3 +192,128 @@ def test_distance_series_in_requested_norm():
     b = Trajectory(times=t, states=np.zeros((3, 2)), step=0.5)
     assert np.allclose(distance_series(a, b, NormSpec(p=1.0)), 2.0)
     assert np.allclose(distance_series(a, b, NormSpec(p=math.inf)), 1.0)
+
+
+# ------------------------------------------------------- stacked stepping
+
+
+def hopf_field(omega=3.0):
+    def fn(t, u):
+        assert u.ndim == 1  # a stack is evaluated row by row
+        x, y = u
+        s = 1.0 - (x * x + y * y)
+        return np.array([s * x - omega * y, omega * x + s * y])
+
+    return VectorField(fn, 2, name="hopf")
+
+
+def random_linear(n, seed):
+    rng = np.random.default_rng(seed)
+    A = -2.0 * np.eye(n) + 0.4 * rng.normal(size=(n, n)) / math.sqrt(n)
+    return VectorField.linear(A, b=rng.normal(size=n)), rng
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_rk4_stack_matches_per_row_integrate_linear(p):
+    f, rng = random_linear(5, 21)
+    U = rng.normal(size=(4, 5))
+    times, states, step = _rk4(f, U, 0.0, 1.3, 0.01)
+    for i, u in enumerate(U):
+        tr = integrate(f, u, (0.0, 1.3), 0.01)
+        assert np.array_equal(times, tr.times) and step == tr.step
+        assert np.allclose(states[:, i], tr.states, rtol=1e-12, atol=0.0)
+    spec = NormSpec(p=p)
+    trs = [integrate(f, u, (0.0, 1.3), 0.01) for u in U[:2]]
+    d = distance_series(Trajectory(times, states[:, 0], step), Trajectory(times, states[:, 1], step), spec)
+    assert np.allclose(d, distance_series(trs[0], trs[1], spec), rtol=1e-12, atol=0.0)
+
+
+def test_rk4_stack_matches_per_row_integrate_hopf():
+    f = hopf_field()
+    U = np.random.default_rng(22).normal(size=(3, 2))
+    _, states, _ = _rk4(f, U, 0.0, 2.0, 0.01)
+    for i, u in enumerate(U):
+        assert np.allclose(states[:, i], integrate(f, u, (0.0, 2.0), 0.01).states, rtol=1e-12, atol=0.0)
+
+
+# (passed, max_violation, fitted_rate, fitted_overshoot, grid_points),
+# recorded at commit a42036a, before the pairs were integrated as one stack
+VERIFY_RECORDED = {
+    "linear p=1.0": (True, -1.2465705014896855e-06, -1.6760935060637068, 7.139629743255239, 51),
+    "linear p=2.0": (True, -1.1203310679303025e-06, -1.6324946643589724, 3.2724982195016077, 51),
+    "linear p=inf": (True, -1.0923466740447862e-06, -1.6899197774764043, 1.4939208580021517, 51),
+    "affine weighted refuse": (False, 0.3850135393514643, -1.6450519353641857, 5.746919948962742, 51),
+    "hopf": (True, -1.970831167263931e-06, -0.04361287525827769, 1.7410757141538473, 51),
+}
+
+
+def verify_cases():
+    rng = np.random.default_rng(6)
+    n = 6
+    A = -2.0 * np.eye(n) + 0.4 * rng.normal(size=(n, n)) / math.sqrt(n)
+    b = rng.normal(size=n)
+    pairs = [(rng.normal(size=n), rng.normal(size=n)) for _ in range(3)]
+    for p in (1.0, 2.0, math.inf):
+        yield f"linear p={p}", VectorField.linear(A), pairs, NormSpec(p=p), lognorm_closed(A, p).value, 1.0
+    W = np.diag(rng.uniform(0.5, 2.0, size=n))
+    yield "affine weighted refuse", VectorField.linear(A, b), pairs, NormSpec(p=2.0, weight=W), -2.5, 1.5
+    pairs = [(rng.normal(size=2), rng.normal(size=2)) for _ in range(2)]
+    yield "hopf", hopf_field(), pairs, NormSpec(p=2.0), 0.5, 1.0
+
+
+def test_verify_contraction_matches_recorded_values():
+    for name, f, pairs, spec, rate, overshoot in verify_cases():
+        res = verify_contraction(f, pairs, spec, rate=rate, overshoot=overshoot, t_span=(0.0, 1.5), h=0.01)
+        passed, violation, lam, kappa, grid = VERIFY_RECORDED[name]
+        assert res.passed is passed and res.grid_points == grid and res.pairs_checked == len(pairs), name
+        assert res.max_violation == pytest.approx(violation, rel=1e-12), name
+        assert res.fitted_rate == pytest.approx(lam, rel=1e-12), name
+        assert res.fitted_overshoot == pytest.approx(kappa, rel=1e-12), name
+
+
+def test_stack_evaluation_reports_the_non_finite_row():
+    U = np.array([[1.0, 2.0], [np.inf, 0.0], [0.5, np.nan]])
+    for f in (VectorField.linear(-np.eye(2)), hopf_field()):
+        with np.errstate(invalid="ignore"), pytest.raises(EvaluationError) as err:
+            f(0.0, U)
+        assert np.array_equal(err.value.point, U[1])
+
+
+def test_verify_contraction_stack_blowup_in_second_pair():
+    # only the first coordinate grows (e^{300 t}), and only the second
+    # pair starts with it nonzero
+    f = VectorField.linear(np.diag([300.0, -1.0]))
+    pairs = [([0.0, 1.0], [0.0, -1.0]), ([1.0, 0.0], [0.0, 0.0])]
+    with pytest.raises(DivergenceError, match=r"^state blew up at t = ") as err:
+        verify_contraction(f, pairs, rate=-1.0, t_span=(0.0, 1.0), h=1e-3)
+    assert 0.76 < err.value.t < 0.78  # e^{300 t} = 1e100 at t = 0.7675
+    verify_contraction(f, pairs[:1], rate=0.0, t_span=(0.0, 1.0), h=1e-3)
+
+
+def test_verify_contraction_wrong_length_pair_raises_before_stepping():
+    calls = [0]
+
+    def fn(t, u):
+        calls[0] += 1
+        return -u
+
+    f = VectorField(fn, 2)
+    for pairs in ([([1.0, 0.0], [0.0, 1.0]), ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])], [([1.0, 0.0], [1.0])]):
+        with pytest.raises(DimensionError):
+            verify_contraction(f, pairs, rate=-1.0)
+    assert calls[0] == 0
+
+
+def test_verify_contraction_evaluates_affine_stack_four_times_per_step(monkeypatch):
+    calls = []
+    evaluate = VectorField.__call__
+
+    def counted(self, t, u):
+        calls.append(np.shape(u))
+        return evaluate(self, t, u)
+
+    monkeypatch.setattr(VectorField, "__call__", counted)
+    f, rng = random_linear(4, 23)
+    pairs = [(rng.normal(size=4), rng.normal(size=4)) for _ in range(3)]
+    verify_contraction(f, pairs, rate=0.0, t_span=(0.0, 1.0), h=0.01)
+    assert calls == [(6, 4)] * (4 * 100)
