@@ -58,6 +58,7 @@ from .flows import (
     distance_series,
     integrate,
     overshoot_fit,
+    pair_distances,
     variational_flow,
     verify_contraction,
 )

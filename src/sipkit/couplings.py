@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateArgumentError, DimensionError
-from .flows import _rk4, _span, overshoot_fit
+from .flows import overshoot_fit, pair_distances
 from .measures import (
     DomainSampler,
     RateEstimate,
@@ -295,12 +295,12 @@ def product_lp_rate(
     lin = VectorField.linear(A)
     fitted = -math.inf
     if n_perturbations > 0:
-        t0, t1 = _span((0.0, horizon), step)
-        # all perturbations in one stack; column j of dist is perturbation j
+        # each perturbation is paired with the rest state 0, which the
+        # linear flow keeps at exactly 0
         D0 = np.random.default_rng(seed).normal(size=(n_perturbations, sys.total_dim))
         D0 /= norm_rows(D0, spec)[:, None]
-        ts, traj, _ = _rk4(lin, D0, t0, t1, step)
-        dist = norm_rows(traj.reshape(-1, sys.total_dim), spec).reshape(len(ts), -1)
+        rest = np.zeros(sys.total_dim)
+        ts, dist = pair_distances(lin, [(d0, rest) for d0 in D0], (0.0, horizon), step, spec)
         fitted = max(overshoot_fit(ts, d)[0] for d in dist.T)
     return ProductReport(
         per_block=tuple(per),

@@ -5,9 +5,11 @@ reproducible by construction), co-integration of linearized
 perturbations, and the certificate machinery that checks claimed decay
 envelopes kappa * exp(lambda (t - s)) against simulated pair distances.
 One stepper, _rk4, advances a single state or an (m, n) stack of states:
-integrate is its single-state case, and verify_contraction integrates
-all of its starts as one stack and takes every pair distance with one
-norm_rows call.
+integrate is its single-state case, and pair_distances integrates every
+start of a list of pairs as one stack.  It keeps only the pair distances,
+taken with norm_rows over blocks of steps, so its memory grows with the
+number of pairs times the number of steps, not times the dimension.
+verify_contraction and couplings.product_lp_rate step through it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "integrate",
     "variational_flow",
     "distance_series",
+    "pair_distances",
     "verify_contraction",
     "overshoot_fit",
 ]
@@ -69,20 +72,32 @@ def _span(t_span, h):
     return t0, t1
 
 
-def _rk4(f, U, t0, t1, h):
+# states per block that pair_distances reduces at once (512 KiB of floats)
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _rk4(f, U, t0, t1, h, reduce=None):
     """Classical RK4 from t0 to t1 of one state (n,) or a stack (m, n).
 
     The step is rescaled to divide the span exactly so the sample grid is
     uniform; DivergenceError is raised at the first step where any entry
     leaves the finite range or crosses the blow-up sentinel.  Returns
-    (times, states, effective step) with states[k] the state or stack at
-    times[k].
+    (times, values, effective step).  Without ``reduce``, values[k] is
+    the state or stack at times[k].  With it, the states are buffered in
+    blocks of about _BLOCK_ENTRIES numbers, each block S (k, *U.shape) is
+    replaced by the new array reduce(S) (k, ...), and values is the
+    concatenation of those, so no more than one block of states is held.
     """
     n = max(1, int(round((t1 - t0) / h)))
     h_eff = (t1 - t0) / n
-    out = np.empty((n + 1,) + U.shape)
-    out[0] = U
+    size = n + 1 if reduce is None else max(1, min(n + 1, _BLOCK_ENTRIES // U.size))
+    buf = np.empty((size,) + U.shape)
+    buf[0] = U
+    j, parts = 1, []
     for k in range(n):
+        if j == size:
+            parts.append(reduce(buf))
+            j = 0
         t = t0 + k * h_eff
         k1 = f(t, U)
         k2 = f(t + 0.5 * h_eff, U + 0.5 * h_eff * k1)
@@ -91,8 +106,14 @@ def _rk4(f, U, t0, t1, h):
         U = U + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(U).all() or np.abs(U).max() > BLOWUP:
             raise DivergenceError(f"state blew up at t = {t + h_eff:.6g}", t=t + h_eff)
-        out[k + 1] = U
-    return t0 + np.arange(n + 1) * h_eff, out, h_eff
+        buf[j] = U
+        j += 1
+    if reduce is None:
+        values = buf
+    else:
+        parts.append(reduce(buf[:j]))
+        values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return t0 + np.arange(n + 1) * h_eff, values, h_eff
 
 
 def integrate(f: VectorField, u0, t_span, h: float) -> Trajectory:
@@ -160,6 +181,30 @@ def overshoot_fit(times, distances):
     return float(lam), float(kappa)
 
 
+def pair_distances(f: VectorField, pairs, t_span, h: float, spec: NormSpec = NormSpec()):
+    """Integrate both starts of every pair (u0, v0) and return their distances.
+
+    All starts are stepped by RK4 as one stack, so a blow-up of any of
+    them raises DivergenceError; a start whose shape is not (f.dim,)
+    raises DimensionError before any step.  Returns (times, d) with
+    d[k, j] = ||u_j(times[k]) - v_j(times[k])||.  Only the distances are
+    kept, never the trajectories.
+    """
+    if not pairs:
+        raise DegenerateArgumentError("need at least one initial pair")
+    t0, t1 = _span(t_span, h)
+    starts = [np.asarray(u, dtype=float) for pair in pairs for u in pair]
+    if len(starts) != 2 * len(pairs) or any(u.shape != (f.dim,) for u in starts):
+        raise DimensionError(f"every pair needs two initial states of shape ({f.dim},)")
+
+    def distances(S):
+        # S[k, 2j] and S[k, 2j + 1] are pair j's states at step k
+        return norm_rows((S[:, 0::2] - S[:, 1::2]).reshape(-1, f.dim), spec).reshape(len(S), -1)
+
+    times, d, _ = _rk4(f, np.array(starts), t0, t1, h, distances)
+    return times, d
+
+
 @dataclass(frozen=True)
 class CertificateResult:
     """Outcome of an empirical decay-envelope check."""
@@ -190,21 +235,13 @@ def verify_contraction(
 
     The inequality is checked on strided grid anchors (stride ~ N/50) for
     every s <= t, with tolerance atol + rtol * envelope.  The returned
-    fitted rate/overshoot come from the worst-decaying pair.  All starts
-    are integrated as one stack, so a blow-up of any of them raises
-    DivergenceError.
+    fitted rate/overshoot come from the worst-decaying pair.  The pairs
+    are integrated by pair_distances, as one stack, so a blow-up of any
+    of them raises DivergenceError.
     """
     if overshoot < 1.0:
         raise DegenerateArgumentError("overshoot constant below 1 is vacuous")
-    if not pairs:
-        raise DegenerateArgumentError("need at least one initial pair")
-    t0, t1 = _span(t_span, h)
-    starts = [np.asarray(u, dtype=float) for pair in pairs for u in pair]
-    if len(starts) != 2 * len(pairs) or any(u.shape != (f.dim,) for u in starts):
-        raise DimensionError(f"every pair needs two initial states of shape ({f.dim},)")
-    t, states, _ = _rk4(f, np.array(starts), t0, t1, h)
-    # distances of every pair at every time, column j for pair j
-    dist = norm_rows((states[:, 0::2] - states[:, 1::2]).reshape(-1, f.dim), spec).reshape(len(t), -1)
+    t, dist = pair_distances(f, pairs, t_span, h, spec)
     stride = max(1, len(t) // 50)
     idx = np.arange(0, len(t), stride)
     if idx[-1] != len(t) - 1:

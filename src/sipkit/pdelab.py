@@ -642,31 +642,27 @@ _NEWTON_RTOL = 1e-10
 _MAX_HALVINGS = 20
 
 
-def _implicit_step(F: VectorField, u, f, h, solve=None):
+def _implicit_step(F: VectorField, u, f, h):
     """One backward-Euler step from u (with f = F(u)): solve
     v - u - h F(v) = 0 by Newton on the matrix I - h DF(v).
 
-    An affine field needs one exact solve; ``solve``, when given, maps r
-    to (I - h A)^{-1} r from a factorization made beforehand.  Returns
-    (v, F(v)), or None when the Newton matrix is singular or an iterate
-    is non-finite or past the blow-up sentinel.
+    An affine field needs one exact solve.  Returns (v, F(v)), or None
+    when the Newton matrix is singular or an iterate is non-finite or
+    past the blow-up sentinel.
     """
     eye = np.eye(u.shape[0])
     v = u
     for _ in range(_NEWTON_ITERS):
         try:
-            if solve is not None:
-                dv = solve(v - u - h * f)
-            else:
-                J = F.matrix if F.matrix is not None else F.jacobian(0.0, v)
-                dv = np.linalg.solve(eye - h * J, v - u - h * f)
+            J = F.matrix if F.matrix is not None else F.jacobian(0.0, v)
+            dv = np.linalg.solve(eye - h * J, v - u - h * f)
         except np.linalg.LinAlgError:
             return None
         v = v - dv
-        if not np.isfinite(v).all() or np.abs(v).max() > BLOWUP:
+        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > BLOWUP:
             return None
         f = F(0.0, v)
-        if F.matrix is not None or np.abs(dv).max() <= _NEWTON_RTOL * (1.0 + np.abs(v).max()):
+        if F.matrix is not None or np.max(np.abs(dv)) <= _NEWTON_RTOL * (1.0 + np.max(np.abs(v))):
             break
     return v, f
 
@@ -693,8 +689,7 @@ def fixed_point_solve(
     iteration turns into Newton's method on F = 0), and is halved and
     retried when a step gives a larger residual or leaves the finite
     range.  Forced solves with c >= 0 take fixed steps of h_t and raise
-    DivergenceError once the state passes the blow-up sentinel; for an
-    affine field they factor I - h_t A once and reuse it on every step.
+    DivergenceError once the state passes the blow-up sentinel.
     Pseudo-time stops at max_t.
 
     Returns (u*, report).  The report holds the pseudo-times and
@@ -734,26 +729,13 @@ def fixed_point_solve(
     if not h_t > 0:
         raise DegenerateArgumentError("pseudo-time step must be positive")
     floor = h_t / 2.0**_MAX_HALVINGS
-    solve = None
-    if F.matrix is not None and not contracting:
-        # forced affine steps all have size h_t: factor I - h_t A once
-        # (LAPACK getrf/getrs, the two halves of the gesv behind np.linalg.solve)
-        from scipy.linalg import get_lapack_funcs
-
-        M = np.eye(N) - h_t * F.matrix
-        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (M,))
-        lu, piv, info = getrf(M)
-        if info == 0:
-
-            def solve(r):
-                return getrs(lu, piv, r)[0]
     f = F(0.0, u)
     t, h = 0.0, h_t
     ts, res = [0.0], [norm(f, spec)]
     fitted = -math.inf
     while res[-1] > tol and t < max_t * (1.0 - 1e-12):
         step = min(h, max_t - t)
-        trial = _implicit_step(F, u, f, step, solve if step == h_t else None)
+        trial = _implicit_step(F, u, f, step)
         r = math.inf if trial is None else norm(trial[1], spec)
         if contracting and r > res[-1]:
             if step <= floor:

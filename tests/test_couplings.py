@@ -205,6 +205,26 @@ def test_product_collapse_property():
             assert abs(rep.product_rate - lognorm_closed(full, p).value) <= 1e-9
 
 
+def test_product_simulated_rate_matches_per_perturbation_integrate():
+    # the perturbations are integrated as one stack; each must decay as it
+    # does alone, with the same seeded starts
+    from sipkit.flows import overshoot_fit
+    from sipkit.spaces import norm
+
+    rng = np.random.default_rng(42)
+    B1, B2 = -2.0 * np.eye(2) + 0.3 * rng.normal(size=(2, 2)), -np.eye(3) + 0.3 * rng.normal(size=(3, 3))
+    sys = BlockSystem([[B1, None], [None, B2]], dims=(2, 3), product_p=1.0)
+    rep = product_lp_rate(sys, horizon=2.0, n_perturbations=4, seed=5)
+    lin = VectorField.linear(sys.assemble(0.0, np.zeros(5)))
+    starts = np.random.default_rng(5)
+    want = -math.inf
+    for _ in range(4):
+        d0 = starts.normal(size=5)
+        tr = integrate(lin, d0 / norm(d0, NormSpec(p=1.0)), (0.0, 2.0), 1e-2)
+        want = max(want, overshoot_fit(tr.times, [norm(s, NormSpec(p=1.0)) for s in tr.states])[0])
+    assert rep.simulated_rate == pytest.approx(want, rel=1e-12)
+
+
 def test_product_zero_range_coupling_decay():
     om = 2.0
     sys = BlockSystem(

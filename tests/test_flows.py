@@ -5,6 +5,7 @@ the fixed-step integrator and the variational flow.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sipkit.flows import (
     distance_series,
     integrate,
     overshoot_fit,
+    pair_distances,
     variational_flow,
     verify_contraction,
 )
@@ -317,3 +319,34 @@ def test_verify_contraction_evaluates_affine_stack_four_times_per_step(monkeypat
     pairs = [(rng.normal(size=4), rng.normal(size=4)) for _ in range(3)]
     verify_contraction(f, pairs, rate=0.0, t_span=(0.0, 1.0), h=0.01)
     assert calls == [(6, 4)] * (4 * 100)
+
+
+def test_pair_distances_match_per_pair_integrate_across_blocks():
+    # 40 starts of dimension 50 fill a block every 32 steps, so 1001
+    # samples span 32 blocks and a partial last one; with no offset the
+    # states shrink with their distances, which keeps roundoff relative
+    g, rng = random_linear(50, 24)
+    f = VectorField.linear(g.matrix)
+    pairs = [(rng.normal(size=50), rng.normal(size=50)) for _ in range(20)]
+    spec = NormSpec(p=1.0)
+    times, d = pair_distances(f, pairs, (0.0, 10.0), 0.01, spec)
+    assert d.shape == (1001, 20)
+    for j in (0, 7, 19):
+        tr_u, tr_v = (integrate(f, u, (0.0, 10.0), 0.01) for u in pairs[j])
+        assert np.array_equal(times, tr_u.times)
+        assert np.allclose(d[:, j], distance_series(tr_u, tr_v, spec), rtol=1e-12, atol=0.0)
+
+
+def test_verify_contraction_memory_does_not_grow_with_trajectories():
+    # 20 pairs in dimension 50 over 2000 steps: the stacked trajectories
+    # alone would take 32 MB; the distances take 320 KB
+    f, rng = random_linear(50, 25)
+    pairs = [(rng.normal(size=50), rng.normal(size=50)) for _ in range(20)]
+    tracemalloc.start()
+    try:
+        res = verify_contraction(f, pairs, rate=0.0, t_span=(0.0, 20.0), h=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed and res.pairs_checked == 20
+    assert peak < 4 * 2**20

@@ -1,15 +1,8 @@
 import math
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
-
-import sipkit
 
 from sipkit.errors import (
     CertificateRefusedError,
@@ -593,57 +586,3 @@ def test_fixed_point_blowup_and_bad_step_raise():
     for h_t in (0.0, -1e-3):
         with pytest.raises(DegenerateArgumentError):
             fixed_point_solve(VectorField.linear(build_laplacian(g)), g, u0=np.ones(16), h_t=h_t)
-
-
-def test_fixed_point_forced_affine_factors_once(monkeypatch):
-    # the forced branch reuses one LU factorization of I - h_t A; its
-    # residuals are those of a fresh np.linalg.solve on every step
-    factored = []
-    lapack = scipy.linalg.get_lapack_funcs
-
-    def counting(names, arrays):
-        getrf, getrs = lapack(names, arrays)
-
-        def counted_getrf(M):
-            factored.append(M.shape)
-            return getrf(M)
-
-        return counted_getrf, getrs
-
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
-    rng = np.random.default_rng(31)
-    g = Grid1D(16, "dirichlet")
-    A = 0.3 * rng.normal(size=(5, 5))
-    b = rng.normal(size=5)
-    F = VectorField.linear(A, b=b)
-    u0 = rng.normal(size=5)
-    _, rep = fixed_point_solve(F, g, tol=1e-12, u0=u0, h_t=0.01, max_t=2.0, force=True)
-    assert rep.forced and factored == [(5, 5)]
-    u, want = u0, [norm(A @ u0 + b)]
-    for step in np.diff(rep.times):
-        u = u - np.linalg.solve(np.eye(5) - step * A, -step * (A @ u + b))
-        want.append(norm(A @ u + b))
-    assert len(want) == 201
-    assert np.allclose(rep.residuals, want, rtol=1e-12, atol=0.0)
-
-
-def test_fixed_point_contracting_solve_leaves_scipy_linalg_unloaded():
-    # fixed_point_solve imports scipy.linalg only to factor forced affine
-    # steps; a contracting solve never loads it
-    code = (
-        "import sys, numpy as np, sipkit as sk\n"
-        "g = sk.Grid1D(16, 'dirichlet')\n"
-        "F = sk.VectorField.linear(sk.build_laplacian(g), b=np.ones(16))\n"
-        "assert sk.fixed_point_solve(F, g)[1].converged\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
-    )
-    import_path = [str(Path(sipkit.__file__).resolve().parents[1])]
-    if os.environ.get("PYTHONPATH"):
-        import_path.append(os.environ["PYTHONPATH"])
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(import_path)},
-    )
-    assert proc.returncode == 0, proc.stderr
