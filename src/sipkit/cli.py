@@ -52,20 +52,6 @@ USAGE = """usage: sipkit run <scenario.json> [--out DIR] [--seed N]
        sipkit validate <scenario.json>
 scenario kinds: measure verify subspace manifold couple pde-rd pde-claw poisson regress symmetry"""
 
-REQUIRED_KEYS = {
-    "measure": ("matrix", "p"),
-    "verify": ("matrix", "p", "rate"),
-    "subspace": ("matrix", "projection", "p"),
-    "manifold": ("system",),
-    "couple": ("blocks", "coupling"),
-    "pde-rd": ("n", "bc", "alpha", "t_span"),
-    "pde-claw": ("n", "flux", "t_span"),
-    "poisson": ("n", "forcing"),
-    "regress": ("p", "features", "targets", "alpha", "steps"),
-    "symmetry": ("matrix", "transform", "p"),
-}
-
-
 # ---------------------------------------------------------- serialization
 
 
@@ -408,17 +394,23 @@ def _run_symmetry(params, seed, outdir):
     return {"equivariance_residual": residual, "tol": tol}, {}, bool(residual <= tol)
 
 
-HANDLERS = {
-    "measure": _run_measure,
-    "verify": _run_verify,
-    "subspace": _run_subspace,
-    "manifold": _run_manifold,
-    "couple": _run_couple,
-    "pde-rd": _run_pde_rd,
-    "pde-claw": _run_pde_claw,
-    "poisson": _run_poisson,
-    "regress": _run_regress,
-    "symmetry": _run_symmetry,
+# kind: (handler, required parameter keys, optional parameter keys); a
+# handler reads no key outside its two lists
+KINDS = {
+    "measure": (_run_measure, ("matrix", "p"), ("weight",)),
+    "verify": (_run_verify, ("matrix", "p", "rate"), ("overshoot", "t_span", "step", "pairs", "radius")),
+    "subspace": (_run_subspace, ("matrix", "projection", "p"), ("tol", "samples", "radius")),
+    "manifold": (_run_manifold, ("system",), ("omega", "mu", "tol")),
+    "couple": (_run_couple, ("blocks", "coupling"), ()),
+    "pde-rd": (
+        _run_pde_rd,
+        ("n", "bc", "alpha", "t_span"),
+        ("reaction", "u0", "h_t", "length", "claimed_rate"),
+    ),
+    "pde-claw": (_run_pde_claw, ("n", "flux", "t_span"), ("amplitude", "h_t", "tol", "length")),
+    "poisson": (_run_poisson, ("n", "forcing"), ("bc", "tol", "u0")),
+    "regress": (_run_regress, ("p", "features", "targets", "alpha", "steps"), ("u0", "tol")),
+    "symmetry": (_run_symmetry, ("matrix", "transform", "p"), ("tol", "samples", "radius")),
 }
 
 
@@ -439,8 +431,18 @@ def _load_scenario(path):
     return doc, None
 
 
-def _missing_keys(kind: str, params: dict):
-    return [k for k in REQUIRED_KEYS[kind] if k not in params]
+def _key_problems(kind: str, params: dict) -> str:
+    """Missing required and unknown parameter keys of a scenario, as one
+    message ('' when there are none)."""
+    _, required, optional = KINDS[kind]
+    missing = [k for k in required if k not in params]
+    unknown = sorted(str(k) for k in params if k not in required and k not in optional)
+    problems = []
+    if missing:
+        problems.append(f"missing keys: {', '.join(missing)}")
+    if unknown:
+        problems.append(f"unknown keys: {', '.join(unknown)}")
+    return "; ".join(problems)
 
 
 def validate_scenario(path) -> int:
@@ -449,12 +451,12 @@ def validate_scenario(path) -> int:
         print(err, file=sys.stderr)
         return 1
     kind = doc.get("kind")
-    if kind not in HANDLERS:
+    if kind not in KINDS:
         print(f"unknown scenario kind {kind!r}\n{USAGE}", file=sys.stderr)
         return 64
-    missing = _missing_keys(kind, doc.get("parameters", {}))
-    if missing:
-        print(f"scenario invalid: missing keys: {', '.join(missing)}", file=sys.stderr)
+    problems = _key_problems(kind, doc.get("parameters", {}))
+    if problems:
+        print(f"scenario invalid: {problems}", file=sys.stderr)
         return 1
     print(f"ok: {kind} scenario with all required keys")
     return 0
@@ -466,13 +468,13 @@ def run_scenario(path, out_override=None, seed_override=None) -> int:
         print(err, file=sys.stderr)
         return 1
     kind = doc.get("kind")
-    if kind not in HANDLERS:
+    if kind not in KINDS:
         print(f"unknown scenario kind {kind!r}\n{USAGE}", file=sys.stderr)
         return 64
     params = doc.get("parameters", {})
-    missing = _missing_keys(kind, params)
-    if missing:
-        print(f"scenario invalid: missing keys: {', '.join(missing)}", file=sys.stderr)
+    problems = _key_problems(kind, params)
+    if problems:
+        print(f"scenario invalid: {problems}", file=sys.stderr)
         return 1
     seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
     outdir = Path(out_override if out_override is not None else doc.get("output_dir", "."))
@@ -484,7 +486,7 @@ def run_scenario(path, out_override=None, seed_override=None) -> int:
 
     started = time.perf_counter()
     try:
-        results, series, passed = HANDLERS[kind](params, seed, outdir)
+        results, series, passed = KINDS[kind][0](params, seed, outdir)
     except SipkitError as exc:
         print(f"error running {kind} scenario: {exc}", file=sys.stderr)
         return 1

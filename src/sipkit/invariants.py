@@ -32,11 +32,10 @@ from .measures import (
     DomainSampler,
     RateEstimate,
     VectorField,
-    _quotients,
     _state_sup,
     lognorm_closed,
 )
-from .spaces import NormSpec, norm, norm_rows, sip_rows
+from .spaces import NormSpec, _quotient_rows, norm, norm_rows, sip_rows
 
 __all__ = [
     "SubspaceSpec",
@@ -231,10 +230,12 @@ def _projected_rate_sampled(jac_at, Q, sampler: DomainSampler, spec: NormSpec, t
         raise DegenerateProjectionError("complement projection annihilates every probe")
     probes = probes[keep] / nw[keep, None]
 
-    def rate_at(t, u):
-        return sip_rows(probes, probes @ jac_at(t, u).T @ Q.T, spec).max()
+    def rates_at(t, X):
+        Js = np.array([jac_at(t, u) for u in X])
+        images = (probes @ Js.transpose(0, 2, 1) @ Q.T).reshape(-1, Q.shape[0])
+        return sip_rows(np.concatenate([probes] * len(X)), images, spec).reshape(len(X), -1).max(axis=1)
 
-    best, used, vals = _state_sup(rate_at, sampler, times, 2)
+    best, used, vals = _state_sup(rates_at, sampler, times, 2)
     return RateEstimate(best, SAMPLED, samples=len(vals) * len(probes), ascent_iters=used)
 
 
@@ -313,14 +314,22 @@ def _constraint_rate(f, man: ManifoldSpec, sampler: DomainSampler, spec: NormSpe
     ny = np.linalg.norm(ys, axis=1)
     ys = ys[ny > 0] / ny[ny > 0, None]
 
-    def rate_at(t, u):
-        J = man.jacobian(u)
-        if np.linalg.svd(J, compute_uv=False)[-1] <= RANK_TOL:
-            return -math.inf  # constraint blind here; skip the point
-        du = ys @ np.linalg.pinv(J).T
-        return _quotients(du @ J.T, du @ f.jacobian(t, u).T @ J.T, spec, 1e-12).max()
+    def rates_at(t, X):
+        out = np.full(len(X), -math.inf)  # stays -inf where the constraint is blind
+        seen, U, W = [], [], []
+        for i, u in enumerate(X):
+            J = man.jacobian(u)
+            if np.linalg.svd(J, compute_uv=False)[-1] > RANK_TOL:
+                du = ys @ np.linalg.pinv(J).T
+                seen.append(i)
+                U.append(du @ J.T)
+                W.append(du @ f.jacobian(t, u).T @ J.T)
+        if seen:
+            q = _quotient_rows(np.concatenate(U), np.concatenate(W), spec, 1e-12)
+            out[seen] = q.reshape(len(seen), -1).max(axis=1)
+        return out
 
-    best, used, vals = _state_sup(rate_at, sampler, times, 2)
+    best, used, vals = _state_sup(rates_at, sampler, times, 2)
     finite = np.count_nonzero(np.isfinite(vals))
     if not finite:
         raise DegenerateProjectionError("no constraint-visible probe directions found")

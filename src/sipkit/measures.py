@@ -4,12 +4,19 @@ Two routes to the same number are kept deliberately separate.  The closed
 forms (lognorm_closed, operator_rate) evaluate known formulas; the limit
 route (lognorm_limit) extrapolates (||I + hA|| - 1)/h directly.  Sampled
 suprema are certified lower bounds, flagged as such in the returned
-RateEstimate.  Every one of them runs on a single engine, _sampled_sup:
-the objective maps a stack of probes (one per row) to their values, the
-probes are swept in one call per time, and projected forward-difference
-ascent refines the best few, each gradient one call on the stack
-x + diag(h).  The quotients themselves come from the row kernels
-norm_rows and sip_rows.
+RateEstimate.  Every one of them runs on a single engine: the objective
+maps a stack of probes (one per row) to their values, the probes are
+swept in one call, and projected forward-difference ascents refine the
+best few.  The ascents run in lockstep (_ascent): each problem keeps its
+own point, step and stop rule, and one iteration makes one call on the
+gradient stacks x + diag(h) of every problem still running and one on
+their candidates.  _sampled_sup is a single supremum over times and
+starts; _operator_rates rates a (B, n, n) stack of matrices at once, with
+stacked closed forms for p in {1, 2, inf} and otherwise one sweep and one
+lockstep ascent for all B, and operator_rate is its B = 1 case.  So the
+inner log norms of differential_rate and of varying weighted_rate cost
+one batched call per sweep and per ascent step, not one per state.  The
+quotients come from the fused row kernel spaces._quotient_rows.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .errors import (
     EvaluationError,
     UnsupportedNormError,
 )
-from .spaces import COND_LIMIT, NormSpec, _ladder_limit, _raw_norm_rows, norm_rows, sip_rows
+from .spaces import COND_LIMIT, NormSpec, _ladder_limit, _quotient_rows, _raw_norm_rows
 
 __all__ = [
     "RateEstimate",
@@ -126,14 +133,16 @@ class Sphere:
         return np.asarray(self.center) + self.radius * g
 
     def project(self, x):
+        """Radial projection of a point or of every row of a stack; a row
+        at the center maps to the first axis."""
         c = np.asarray(self.center)
-        d = x - c
-        r = np.linalg.norm(d)
-        if r == 0.0:
-            d = np.zeros_like(d)
-            d[0] = 1.0
-            r = 1.0
-        return c + self.radius * d / r
+        d = np.atleast_2d(np.array(x - c, dtype=float))
+        r = np.linalg.norm(d, axis=1, keepdims=True)
+        at_center = r[:, 0] == 0.0
+        d[at_center] = 0.0
+        d[at_center, 0] = 1.0
+        r[at_center] = 1.0
+        return (c + self.radius * d / r).reshape(np.shape(x))
 
     @property
     def scale(self):
@@ -158,12 +167,13 @@ class Ball:
         return np.asarray(self.center) + self.radius * r * g
 
     def project(self, x):
+        """Nearest point of the ball to a point or to every row of a stack;
+        rows inside are returned as they are."""
         c = np.asarray(self.center)
         d = x - c
-        r = np.linalg.norm(d)
-        if r <= self.radius:
-            return x
-        return c + self.radius * d / r
+        r = np.linalg.norm(d, axis=-1, keepdims=True)
+        out = r > self.radius
+        return np.where(out, c + self.radius * d / np.where(out, r, 1.0), x)
 
     @property
     def scale(self):
@@ -306,63 +316,115 @@ class VectorField:
 # ------------------------------------------------------------- ascent
 
 
-def _ascent(objective_rows, x0, step, project=None, iters=50):
-    """Greedy forward-difference ascent from x0; returns (value, iters used).
+def _ascent(objective, X0, step, project=None, iters=50):
+    """Greedy forward-difference ascents from every row of X0, in lockstep.
 
-    ``objective_rows`` maps a stack of points, one per row, to their
-    values; each gradient is one call on the stack x + diag(h),
-    differenced against the known value at x.
+    ``objective(X, rows)`` maps a stack of points, and the problem (row of
+    X0) each one belongs to, to their values.  Every problem keeps its own
+    point, value, step, iteration count and stop rule.  An iteration makes
+    one call on the gradient stacks x + diag(h) of all problems still
+    running, differenced against their known values, and one call on
+    their candidates.  Returns (values, iterations used) per problem.
     """
-    x = np.array(x0, dtype=float)
-    fx = objective_rows(x[None, :])[0]
-    used = 0
-    for _ in range(iters):
-        used += 1
+    x = np.array(X0, dtype=float)
+    m, d = x.shape
+    fx = np.asarray(objective(x, np.arange(m)), dtype=float)
+    out, used = fx.copy(), np.full(m, iters)
+    run, steps = np.arange(m), np.full(m, float(step))
+
+    def stop(done, it):
+        nonlocal run, x, fx, steps
+        out[run[done]], used[run[done]] = fx[done], it
+        keep = ~done
+        run, x, fx, steps = run[keep], x[keep], fx[keep], steps[keep]
+        return keep
+
+    for it in range(1, iters + 1):
         h = 1e-6 * (1.0 + np.abs(x))
-        g = (objective_rows(x + np.diag(h)) - fx) / h
-        ng = np.linalg.norm(g)
-        if not np.isfinite(ng) or ng == 0.0:
-            break
-        cand = x + step * g / ng
+        grad_stack = x.repeat(d, axis=0)  # d copies of each x, then + h on the diagonals
+        grad_stack.reshape(-1, d * d)[:, :: d + 1] += h
+        g = (objective(grad_stack, run.repeat(d)).reshape(-1, d) - fx[:, None]) / h
+        ng = np.sqrt((g * g).sum(axis=1))
+        # plain floats: cheaper than array reductions for a few problems
+        if not all(0.0 < v < math.inf for v in ng.tolist()):
+            keep = stop(~(np.isfinite(ng) & (ng != 0.0)), it)
+            g, ng = g[keep], ng[keep]
+            if not run.size:
+                break
+        cand = x + steps[:, None] * g / ng[:, None]
         if project is not None:
             cand = project(cand)
-        fc = objective_rows(cand[None, :])[0]
-        if np.isfinite(fc) and fc > fx:
-            x, fx = cand, fc
-            step *= 1.3
-        else:
-            step *= 0.5
-        if step < 1e-12:
-            break
-    return fx, used
+        fc = objective(cand, run)
+        up = np.isfinite(fc) & (fc > fx)
+        x, fx = np.where(up[:, None], cand, x), np.where(up, fc, fx)
+        steps = steps * np.where(up, 1.3, 0.5)
+        if min(steps.tolist()) < 1e-12:
+            stop(steps < 1e-12, it)
+            if not run.size:
+                break
+    out[run] = fx
+    return out, used
+
+
+def _ascend_best(objective, starts, vals, k, step, iters, project):
+    """Lockstep ascents from the k best sweep values of every group.
+
+    Row g of vals is group g's sweep: vals[g, j] is the value at start
+    starts[j % S] (S = len(starts)) in slice j // S of the group, a slice
+    being one time of a state supremum or one matrix of a stack.
+    objective(X, slices) gets each row's slice numbered across groups,
+    g * (vals.shape[1] // S) + j // S.  A NaN or -inf value never becomes
+    a start.  Returns the best value seen and the ascent iterations, one
+    of each per group.
+    """
+    S = len(starts)
+    live = vals > -math.inf
+    best = np.where(live, vals, -math.inf).max(axis=1)
+    order = np.argsort(np.where(live, -vals, math.inf), axis=1, kind="stable")[:, :k]
+    g, rank = np.nonzero(live[np.arange(len(vals))[:, None], order])
+    used = np.zeros(len(vals), dtype=int)
+    if not g.size:
+        return best, used
+    j = order[g, rank]
+    slices = g * (vals.shape[1] // S) + j // S
+    got, its = _ascent(lambda X, rows: objective(X, slices[rows]), starts[j % S], step, project, iters)
+    np.fmax.at(best, g, got)
+    np.add.at(used, g, its)
+    return best, used
 
 
 def _sampled_sup(objective_rows, starts, step, k, iters=50, project=None, times=(0.0,)):
     """Sampled supremum of objective_rows(t, X) over t in times and the rows of starts.
 
-    Sweeps every start at each time in one call, then ascends from the k
-    best sweep values; a NaN or -inf value never becomes a start.  Returns
-    (best value seen, ascent iterations, sweep values in time-major order).
+    Sweeps every start at each time in one call, then ascends in lockstep
+    from the k best sweep values.  Returns (best value seen, ascent
+    iterations, sweep values in time-major order).
     """
     vals = np.concatenate([objective_rows(t, starts) for t in times])
-    live = np.flatnonzero(vals > -math.inf)
-    best = vals[live].max() if live.size else -math.inf
-    used = 0
-    for i in live[np.argsort(-vals[live], kind="stable")[:k]]:
-        t = times[i // len(starts)]
-        got, it = _ascent(lambda X, t=t: objective_rows(t, X), starts[i % len(starts)], step, project, iters)
-        best, used = max(best, got), used + it
-    return float(best), used, vals
+
+    def at_times(X, slices):
+        if len(times) == 1:
+            return objective_rows(times[0], X)
+        out = np.empty(len(X))
+        for i, t in enumerate(times):
+            rows = slices == i
+            if rows.any():
+                out[rows] = objective_rows(t, X[rows])
+        return out
+
+    best, used = _ascend_best(at_times, starts, vals[None, :], k, step, iters, project)
+    return float(best[0]), int(used[0]), vals
 
 
 def _region_step(region):
     return 0.05 * max(region.scale, 1e-6)
 
 
-def _state_sup(rate_at, sampler, times, k):
-    """_sampled_sup of a pointwise rate over the sampler's points, 25-step ascents."""
+def _state_sup(rates_at, sampler, times, k):
+    """_sampled_sup over the sampler's points of a stacked rate
+    rates_at(t, X) (one value per row of X), with 25-step ascents."""
     return _sampled_sup(
-        lambda t, X: np.array([rate_at(t, x) for x in X]),
+        rates_at,
         sampler.points(),
         _region_step(sampler.region),
         k,
@@ -370,17 +432,6 @@ def _state_sup(rate_at, sampler, times, k):
         project=sampler.region.project,
         times=times,
     )
-
-
-def _quotients(U, W, spec, floor):
-    """sip(u, w)/||u||^2 for every row pair, -inf where ||u|| < floor."""
-    nu = norm_rows(U, spec)
-    ok = nu >= floor
-    if ok.all():
-        return sip_rows(U, W, spec) / nu**2
-    out = np.full(len(U), -math.inf)
-    out[ok] = sip_rows(U[ok], W[ok], spec) / nu[ok] ** 2
-    return out
 
 
 # ------------------------------------------------------------ log norms
@@ -393,6 +444,19 @@ def _as_square(A):
     return A
 
 
+def _closed_lognorms(As, p):
+    """Closed-form log norms of every matrix of a (B, n, n) stack.
+
+    p=1 runs over columns, p=inf over rows, p=2 is the largest eigenvalue
+    of the symmetric (Hermitian) part, one stacked eigvalsh.
+    """
+    if p == 2.0:
+        return np.linalg.eigvalsh((As + As.conj().transpose(0, 2, 1)) / 2.0)[:, -1]
+    d = np.diagonal(As, axis1=1, axis2=2)
+    offdiag = np.abs(As).sum(axis=1 if p == 1.0 else 2) - np.abs(d)
+    return (np.real(d) + offdiag).max(axis=1)
+
+
 def lognorm_closed(A, p) -> RateEstimate:
     """Closed-form log norm (matrix measure) for p in {1, 2, inf}.
 
@@ -400,20 +464,9 @@ def lognorm_closed(A, p) -> RateEstimate:
     of the symmetric (Hermitian) part.
     """
     A = _as_square(A)
-    n = A.shape[0]
-    if p == 1.0:
-        offdiag = np.abs(A).sum(axis=0) - np.abs(np.diag(A))
-        val = float(np.max(np.real(np.diag(A)) + offdiag))
-        return RateEstimate(val, EXACT)
-    if p == math.inf:
-        offdiag = np.abs(A).sum(axis=1) - np.abs(np.diag(A))
-        val = float(np.max(np.real(np.diag(A)) + offdiag))
-        return RateEstimate(val, EXACT)
-    if p == 2.0:
-        H = (A + A.conj().T) / 2.0
-        val = float(np.linalg.eigvalsh(H)[-1])
-        return RateEstimate(val, EIGEN)
-    raise UnsupportedNormError(f"no closed-form log norm for p={p}; use lognorm_limit")
+    if p not in (1.0, 2.0, math.inf):
+        raise UnsupportedNormError(f"no closed-form log norm for p={p}; use lognorm_limit")
+    return RateEstimate(float(_closed_lognorms(A[None], p)[0]), EIGEN if p == 2.0 else EXACT)
 
 
 def operator_norm(A, p, samples=200, seed=0):
@@ -443,8 +496,7 @@ def operator_norm(A, p, samples=200, seed=0):
 
 def _weighted_conjugate(A, spec: NormSpec):
     """Return (B, base_p) with the weight folded in: ||.||_w of A equals
-    the plain p-norm picture of B."""
-    A = _as_square(A)
+    the plain p-norm picture of B.  A square A or a stack of them."""
     if spec.stack:
         raise UnsupportedNormError("stacked norms have no square conjugation; use sampled rates")
     if spec.weight is None:
@@ -460,7 +512,7 @@ def lognorm_limit(A, spec: NormSpec = NormSpec(), samples=200, seed=0) -> RateEs
     norm inside the quotient is itself a sampled lower bound (the probe set
     is frozen across the h ladder so the quotient stays smooth in h).
     """
-    B, p = _weighted_conjugate(A, spec)
+    B, p = _weighted_conjugate(_as_square(A), spec)
     n = B.shape[0]
     eye = np.eye(n, dtype=B.dtype)
     if p in (1.0, 2.0, math.inf):
@@ -483,34 +535,59 @@ def lognorm_limit(A, spec: NormSpec = NormSpec(), samples=200, seed=0) -> RateEs
     return RateEstimate(float(val), SAMPLED, samples=samples, note="h-ladder limit")
 
 
+def _operator_rates(As, spec: NormSpec = NormSpec(), samples=200, seed=0) -> list:
+    """operator_rate of every matrix of a (B, n, n) stack, as a list.
+
+    Closed forms for p in {1, 2, inf}, plain or weight-conjugated, run
+    stacked.  Otherwise every matrix is swept over the same seeded probes
+    in one kernel call, and the best probe of each is refined by one
+    lockstep ascent.
+    """
+    As = np.asarray(As)
+    if As.ndim != 3 or As.shape[1] != As.shape[2]:
+        raise DimensionError(f"expected a stack of square matrices, got shape {As.shape}")
+    if not spec.stack and spec.p in (1.0, 2.0, math.inf):
+        kind = EIGEN if spec.p == 2.0 else EXACT
+        note = "" if spec.weight is None else "weight-conjugated"
+        values = _closed_lognorms(_weighted_conjugate(As, spec)[0], spec.p)
+        return [RateEstimate(float(v), kind, note=note) for v in values]
+    # sampled numerical range in the (possibly weighted/stacked) norm
+    B, n, _ = As.shape
+    vs = np.random.default_rng(seed).normal(size=(samples, n))
+    images = (vs @ As.transpose(0, 2, 1)).reshape(-1, n)
+    vals = _quotient_rows(np.concatenate([vs] * B), images, spec, 1e-150).reshape(B, samples)
+
+    def quotients(X, owner):
+        # every row under its own matrix; a single matrix takes the plain
+        # product, a third of the cost of the gathered product per call
+        images = X @ As[0].T if B == 1 else (As[owner] @ X[:, :, None])[:, :, 0]
+        return _quotient_rows(X, images, spec, 1e-150)
+
+    best, used = _ascend_best(quotients, vs, vals, 1, 0.1, 50, None)
+    return [RateEstimate(float(b), SAMPLED, samples=samples, ascent_iters=int(u)) for b, u in zip(best, used)]
+
+
 def operator_rate(A, spec: NormSpec = NormSpec(), samples=200, seed=0) -> RateEstimate:
     """sup of sip(v, Av)/||v||^2 over v != 0 in the given norm.
 
     Equals the log norm; closed forms where available, otherwise a sampled
-    numerical-range supremum with ascent refinement.
+    numerical-range supremum with ascent refinement.  The one-matrix case
+    of _operator_rates.
     """
-    A = _as_square(A)
-    try:
-        B, p = _weighted_conjugate(A, spec)
-        if p in (1.0, 2.0, math.inf):
-            est = lognorm_closed(B, p)
-            note = "" if spec.weight is None else "weight-conjugated"
-            return RateEstimate(est.value, est.kind, note=note)
-    except UnsupportedNormError:
-        pass
-    # sampled numerical range in the (possibly weighted/stacked) norm
-    rng = np.random.default_rng(seed)
-    vs = rng.normal(size=(samples, A.shape[1]))
-    best, used, _ = _sampled_sup(lambda _, V: _quotients(V, V @ A.T, spec, 1e-150), vs, step=0.1, k=1)
-    return RateEstimate(best, SAMPLED, samples=samples, ascent_iters=used)
+    return _operator_rates(_as_square(A)[None], spec, samples, seed)[0]
 
 
 # --------------------------------------------------------- rate functionals
 
 
+def _inner_rates(mats, spec, seed):
+    """Values of the 64-probe inner log norms of a list of matrices, one batch."""
+    return np.array([est.value for est in _operator_rates(np.array(mats), spec, samples=64, seed=seed)])
+
+
 def _affine_exact(f: VectorField, spec: NormSpec, seed=0):
     try:
-        B, p = _weighted_conjugate(f.matrix, spec)
+        B, p = _weighted_conjugate(_as_square(f.matrix), spec)
     except UnsupportedNormError:
         return None
     if p in (1.0, 2.0, math.inf):
@@ -547,10 +624,10 @@ def integral_rate(
     def quot(t, X):
         # fields take one point at a time; only the quotients are batched
         F = np.array([f(t, u) - f(t, v) for u, v in zip(X[:, :n], X[:, n:])])
-        return _quotients(X[:, :n] - X[:, n:], F, spec, 1e-12)
+        return _quotient_rows(X[:, :n] - X[:, n:], F, spec, 1e-12)
 
-    def project(x):
-        return np.concatenate([proj(x[:n]), proj(x[n:])])
+    def project(X):
+        return np.hstack([proj(X[:, :n]), proj(X[:, n:])])
 
     best, used, vals = _sampled_sup(
         quot, np.hstack([a, b]), _region_step(sampler.region), ascent_starts, project=project, times=times
@@ -578,10 +655,10 @@ def differential_rate(
     if sampler is None:
         raise DegenerateArgumentError("sampled rate needs a DomainSampler")
 
-    def mu_at(t, u):
-        return operator_rate(f.jacobian(t, u), spec, samples=64, seed=sampler.seed).value
+    def rates_at(t, X):
+        return _inner_rates([f.jacobian(t, u) for u in X], spec, sampler.seed)
 
-    best, used, vals = _state_sup(mu_at, sampler, times, ascent_starts)
+    best, used, vals = _state_sup(rates_at, sampler, times, ascent_starts)
     return RateEstimate(best, SAMPLED, samples=len(vals), ascent_iters=used)
 
 
@@ -657,13 +734,15 @@ def weighted_rate(
     if sampler is None:
         raise DegenerateArgumentError("varying weights need a DomainSampler")
 
-    def rate_at(t, u):
+    def generator(t, u):
         W = fam.matrix(t, u)
-        J = f.jacobian(t, u)
-        G = fam.total_derivative(t, u, f(t, u)) + W @ J
-        return operator_rate(G @ np.linalg.inv(W), spec, samples=64, seed=sampler.seed).value
+        G = fam.total_derivative(t, u, f(t, u)) + W @ f.jacobian(t, u)
+        return G @ np.linalg.inv(W)
 
-    best, used, vals = _state_sup(rate_at, sampler, times, 2)
+    def rates_at(t, X):
+        return _inner_rates([generator(t, u) for u in X], spec, sampler.seed)
+
+    best, used, vals = _state_sup(rates_at, sampler, times, 2)
     return RateEstimate(best, SAMPLED, samples=len(vals), ascent_iters=used, note="varying weight")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateArgumentError, DimensionError, UnsupportedNormError
 from .flows import overshoot_fit
-from .measures import RateEstimate, operator_rate
+from .measures import RateEstimate, _operator_rates
 from .spaces import NormSpec, as_vector, conjugate_exponent
 
 ROUNDTRIP_TOL = 1e-10
@@ -271,14 +271,12 @@ def mirror_descent_run(
         dual_spec = NormSpec(p=q, weight=np.diag(theta) if theta.ndim == 1 else theta)
     worst = None
     threshold = math.inf
-    for us in snapshots.values():
-        H = _dual_hessian(us, prob)
-        est = operator_rate(-H, dual_spec)
-        if worst is None or est.value > worst.value:
-            worst = est
-        lmax = float(np.linalg.eigvalsh(0.5 * (H + H.T))[-1])
-        if lmax > 0.0:
-            threshold = min(threshold, 2.0 / lmax)
+    if snapshots:
+        Hs = np.array([_dual_hessian(us, prob) for us in snapshots.values()])
+        worst = max(_operator_rates(-Hs, dual_spec), key=lambda est: est.value)
+        lmax = np.linalg.eigvalsh(0.5 * (Hs + Hs.transpose(0, 2, 1)))[:, -1]
+        if (lmax > 0.0).any():
+            threshold = float((2.0 / lmax[lmax > 0.0]).min())
 
     times = step * np.arange(steps + 1) if step > 0 else np.arange(steps + 1, dtype=float)
     fitted = _fit_risk_decay(times, risks)

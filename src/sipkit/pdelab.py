@@ -258,7 +258,7 @@ class DemeanedRegion:
 
     def project(self, x):
         y = self.region.project(x)
-        return y - y.mean()
+        return y - y.mean(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------- spectral gap

@@ -4,8 +4,10 @@ Every rate computed by this package is a supremum of quotients built from
 a norm and the semi-inner product compatible with it.  This module owns
 those primitives: weighted and stacked l^p norms, their right/left
 semi-inner products in closed form, row-wise forms of both for stacks of
-probes (norm_rows, sip_rows), a slow difference-quotient reference for
-the same quantity, and one-sided derivative estimates for scalar signals.
+probes (norm_rows, sip_rows, and the fused quotient kernel _quotient_rows
+that every sampled supremum runs on), a slow difference-quotient
+reference for the same quantity, and one-sided derivative estimates for
+scalar signals.
 """
 
 from __future__ import annotations
@@ -132,7 +134,11 @@ def _raw_norm(x: np.ndarray, p: float) -> float:
 
 def _raw_norm_rows(X: np.ndarray, p: float) -> np.ndarray:
     """_raw_norm of every row of X."""
-    a = np.abs(X)
+    return _abs_norm_rows(np.abs(X), p)
+
+
+def _abs_norm_rows(a: np.ndarray, p: float) -> np.ndarray:
+    """_raw_norm_rows of X, given a = |X|."""
     if p == math.inf:
         return a.max(axis=1)
     if p == 1.0:
@@ -231,15 +237,12 @@ def _transform_rows(V: np.ndarray, spec: NormSpec) -> np.ndarray:
     return V
 
 
-def _sip_rows_raw(U: np.ndarray, W: np.ndarray, p: float) -> np.ndarray:
-    """_sip_raw(u, w, p, 'plus') for every row pair of U and W."""
-    nu = _raw_norm_rows(U, p)
-    if (nu == 0.0).any():
-        raise DegenerateArgumentError("semi-inner product undefined at u = 0")
-    re = np.real(U.conj() * W)
+def _sip_rows_raw(U: np.ndarray, W: np.ndarray, p: float, a: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """_sip_raw(u, w, p, 'plus') for every row pair of U and W, given
+    a = |U| and its row norms nu, none of them zero."""
+    re = np.real((U.conj() if np.iscomplexobj(U) else U) * W)
     if p == 2.0:
         return re.sum(axis=1)
-    a = np.abs(U)
     if p == 1.0:
         zero = a <= ZERO_COORD_TOL
         live = np.divide(re, a, out=np.zeros(a.shape), where=~zero)
@@ -251,6 +254,16 @@ def _sip_rows_raw(U: np.ndarray, W: np.ndarray, p: float) -> np.ndarray:
     # zero coordinates contribute nothing; below p=2 their power is infinite
     powers = a ** (p - 2.0) if p > 2.0 else np.power(a, p - 2.0, out=np.zeros(a.shape), where=a > 0.0)
     return nu ** (2.0 - p) * (powers * re).sum(axis=1)
+
+
+def _transformed_pair(U, W, spec: NormSpec):
+    """U and W validated as matching stacks of rows and transformed."""
+    dtype = complex if spec.field_kind == "complex" else None
+    U = _as_rows(U, dtype=dtype)
+    W = _as_rows(W, dtype=dtype)
+    if U.shape != W.shape:
+        raise DimensionError(f"shape mismatch {U.shape} vs {W.shape}")
+    return _transform_rows(U, spec), _transform_rows(W, spec)
 
 
 def norm_rows(V, spec: NormSpec = NormSpec()) -> np.ndarray:
@@ -266,12 +279,30 @@ def sip_rows(U, W, spec: NormSpec = NormSpec()) -> np.ndarray:
     to every row at once: a zero row of U, a non-finite entry or a shape
     mismatch raises as sip would.
     """
-    dtype = complex if spec.field_kind == "complex" else None
-    U = _as_rows(U, dtype=dtype)
-    W = _as_rows(W, dtype=dtype)
-    if U.shape != W.shape:
-        raise DimensionError(f"shape mismatch {U.shape} vs {W.shape}")
-    return _sip_rows_raw(_transform_rows(U, spec), _transform_rows(W, spec), spec.p)
+    TU, TW = _transformed_pair(U, W, spec)
+    a = np.abs(TU)
+    nu = _abs_norm_rows(a, spec.p)
+    if (nu == 0.0).any():
+        raise DegenerateArgumentError("semi-inner product undefined at u = 0")
+    return _sip_rows_raw(TU, TW, spec.p, a, nu)
+
+
+def _quotient_rows(U, W, spec: NormSpec, floor: float) -> np.ndarray:
+    """sip(u, w)/||u||^2 for every row pair of U and W, -inf where ||u|| < floor.
+
+    One fused pass of norm_rows and sip_rows with the checks they make
+    (shapes, finite entries; a zero row falls below the floor > 0): U
+    and W are validated and transformed once, and ||u|| is taken once.
+    """
+    TU, TW = _transformed_pair(U, W, spec)
+    a = np.abs(TU)
+    nu = _abs_norm_rows(a, spec.p)
+    ok = nu >= floor
+    if ok.all():
+        return _sip_rows_raw(TU, TW, spec.p, a, nu) / nu**2
+    out = np.full(len(nu), -math.inf)
+    out[ok] = _sip_rows_raw(TU[ok], TW[ok], spec.p, a[ok], nu[ok]) / nu[ok] ** 2
+    return out
 
 
 def complex_sip(u, v, spec: NormSpec) -> complex:

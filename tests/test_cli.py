@@ -322,3 +322,84 @@ def test_import_leaves_scipy_linalg_unloaded():
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(import_path)},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_parameter_key_is_named_and_refused(tmp_path, capsys):
+    params = {"matrix": [[-2, 1], [0, -3]], "p": "inf", "rate": -0.5, "pair": 4}  # "pairs" misspelled
+    f = write_scenario(tmp_path, "typo", {"kind": "verify", "parameters": params})
+    assert main(["validate", str(f)]) == 1
+    assert "unknown keys: pair" in capsys.readouterr().err
+    out = tmp_path / "typo-out"
+    assert main(["run", str(f), "--out", str(out)]) == 1
+    assert "unknown keys: pair" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    # missing and unknown keys are named together
+    f = write_scenario(tmp_path, "both", {"kind": "measure", "parameters": {"p": 2, "wieght": [[1]]}})
+    assert main(["validate", str(f)]) == 1
+    assert "missing keys: matrix; unknown keys: wieght" in capsys.readouterr().err
+
+
+class _RecordingParams(dict):
+    """A parameter dict that remembers every key a handler looks up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = set()
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.seen.add(key)
+        return super().__contains__(key)
+
+
+def _benchmark_scenarios():
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    return [(kind, params) for kind, params, _, _ in workloads._scenarios(np.random.default_rng(0))]
+
+
+def test_benchmark_scenarios_validate_and_read_only_listed_keys(tmp_path):
+    from sipkit.cli import KINDS
+
+    scenarios = _benchmark_scenarios()
+    assert sorted(kind for kind, _ in scenarios) == sorted(KINDS)
+    for kind, params in scenarios:
+        f = write_scenario(tmp_path, kind, {"kind": kind, "parameters": params})
+        assert main(["validate", str(f)]) == 0, kind
+        handler, required, optional = KINDS[kind]
+        recorded = _RecordingParams(json.loads(json.dumps(params)))
+        handler(recorded, 0, tmp_path)
+        assert recorded.seen <= set(required) | set(optional), kind
+
+
+def test_readme_parameter_keys_match_the_kind_table(tmp_path):
+    import re
+
+    from sipkit.cli import KINDS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Parameter keys per kind")[1].split("\n## ")[0]
+    listed = {}
+    for item in re.split(r"\n- ", section)[1:]:
+        names = re.findall(r"`([^`]*)`", item)
+        listed[names[0]] = {k for k in names[1:] if re.fullmatch(r"[a-z_0-9]+", k)}
+    assert set(listed) == set(KINDS)
+    for kind, keys in listed.items():
+        _, required, optional = KINDS[kind]
+        assert keys == set(required) | set(optional), kind
+        f = write_scenario(tmp_path, kind, {"kind": kind, "parameters": dict.fromkeys(keys, 1)})
+        assert main(["validate", str(f)]) == 0, kind
+    example = json.loads(readme.split("```json")[1].split("```")[0])
+    f = write_scenario(tmp_path, "example", example)
+    assert main(["validate", str(f)]) == 0

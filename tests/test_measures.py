@@ -392,3 +392,138 @@ def test_pairs_never_coincide():
     samp = DomainSampler(Points(((1.0, 2.0),)), count=8, seed=0)
     a, b = samp.pairs()
     assert np.all(np.linalg.norm(a - b, axis=1) > 0)
+
+
+def test_sphere_and_ball_project_stacks_row_by_row():
+    sph = Sphere((1.0, -1.0, 0.5), 2.0)
+    ball = Ball((1.0, -1.0, 0.5), 2.0)
+    X = np.array(
+        [
+            [1.0, -1.0, 0.5],  # at the center: a zero offset
+            [4.0, 2.0, -3.0],  # outside the ball
+            [1.5, -0.5, 0.0],  # inside the ball
+            [1.0, -1.0, 2.5],  # on the sphere
+        ]
+    )
+    for region in (sph, ball):
+        rows = np.array([region.project(x) for x in X])
+        assert region.project(X).shape == X.shape
+        assert np.array_equal(region.project(X), rows)
+    # the sphere maps the center to the first axis; the ball keeps inside rows as they are
+    assert np.array_equal(sph.project(X)[0], [3.0, -1.0, 0.5])
+    assert np.array_equal(ball.project(X)[[0, 2, 3]], X[[0, 2, 3]])
+    assert np.allclose(np.linalg.norm(sph.project(X) - sph.center, axis=1), 2.0)
+    assert np.linalg.norm(ball.project(X)[1] - ball.center) == pytest.approx(2.0)
+
+
+def _spec_cases():
+    rng = np.random.default_rng(31)
+    W = 2.0 * np.eye(5) + rng.normal(size=(5, 5)) / math.sqrt(5)
+    diff = np.eye(5, k=1) - np.eye(5)
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        yield NormSpec(p=p)
+        yield NormSpec(p=p, weight=W)
+        yield NormSpec(p=p, stack=(diff,))
+
+
+def test_operator_rates_match_per_matrix_operator_rate():
+    from sipkit.measures import _operator_rates
+
+    As = np.random.default_rng(32).normal(size=(6, 5, 5)) - 1.5 * np.eye(5)
+    for spec in _spec_cases():
+        batch = _operator_rates(As, spec, samples=64, seed=9)
+        assert len(batch) == len(As)
+        for A, got in zip(As, batch):
+            want = operator_rate(A, spec, samples=64, seed=9)
+            assert (got.kind, got.note, got.samples, got.ascent_iters) == (
+                want.kind,
+                want.note,
+                want.samples,
+                want.ascent_iters,
+            )
+            assert got.value == pytest.approx(want.value, rel=1e-8)
+
+
+def test_lockstep_ascent_problems_stop_on_their_own():
+    from sipkit.measures import _ascent
+
+    fns = (
+        lambda x: 1.0,  # zero gradient: stops in its first iteration
+        lambda x: -abs(x[0]),  # ascends into the kink; the step halves below 1e-12
+        lambda x: -((x[0] - 3.0) ** 2),  # smooth: runs every iteration
+    )
+    calls = []
+
+    def objective(X, rows):
+        calls.append(sorted(set(rows.tolist())))
+        return np.array([fns[r](x) for x, r in zip(X, rows)])
+
+    X0 = np.zeros((3, 1))
+    vals, used = _ascent(objective, X0, 0.1, iters=50)
+    # 0.1 * 0.5**k first drops below 1e-12 at k = 37
+    assert used.tolist() == [1, 37, 50]
+    # one call at the starts, then per iteration one gradient and one candidate call
+    assert calls[0] == [0, 1, 2]
+    assert calls[1] == [0, 1, 2] and calls[2] == [1, 2]
+    assert calls[2 * 37] == [1, 2] and calls[2 * 37 + 1] == [2]
+    assert len(calls) == 1 + 2 * 50
+    for i in range(3):
+        solo_vals, solo_used = _ascent(lambda X, rows, i=i: objective(X, rows + i), X0[i : i + 1], 0.1, iters=50)
+        assert (solo_vals[0], solo_used[0]) == (vals[i], used[i])
+    assert vals[:2].tolist() == [1.0, 0.0] and vals[2] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_differential_rate_batches_inner_log_norms(monkeypatch):
+    import sipkit.measures as measures
+
+    f = _pinned_tanh_net()
+    sampler = DomainSampler(_BOX3, count=16, seed=6)
+    plain = differential_rate(f, sampler, NormSpec(p=3.0), ascent_starts=1)
+    kernel_rows, batches = [], []
+    kernel, rates = measures._quotient_rows, measures._operator_rates
+
+    def counted_kernel(U, W, spec, floor):
+        kernel_rows.append(len(U))
+        return kernel(U, W, spec, floor)
+
+    def counted_rates(As, *args, **kwargs):
+        before = len(kernel_rows)
+        out = rates(As, *args, **kwargs)
+        batches.append((len(As), len(kernel_rows) - before, max(e.ascent_iters for e in out)))
+        return out
+
+    monkeypatch.setattr(measures, "_quotient_rows", counted_kernel)
+    monkeypatch.setattr(measures, "_operator_rates", counted_rates)
+    est = differential_rate(f, sampler, NormSpec(p=3.0), ascent_starts=1)
+    assert (est.value, est.samples, est.ascent_iters) == (plain.value, plain.samples, plain.ascent_iters)
+    # the sweep rates all 16 states in one batch: one kernel call on 16 x 64 probes
+    assert batches[0][0] == 16 and kernel_rows[0] == 16 * 64
+    # then one batch at the ascent start and, per outer step, one for the
+    # gradient stack (3 states) and at most one for the candidate
+    assert batches[1][0] == 1 and batches[2][0] == 3
+    assert len(batches) <= 2 + 2 * est.ascent_iters
+    # inside a batch: one sweep, one call at the starts, and per inner
+    # step one gradient call and at most one candidate call
+    for _, calls, inner in batches:
+        assert calls in (2 * inner + 1, 2 * inner + 2)
+
+
+def test_sampled_sup_ascends_each_start_at_its_own_time():
+    from sipkit.measures import _ascent, _sampled_sup
+
+    times = (0.0, 1.0)
+    starts = np.array([[0.0], [0.5], [2.0]])
+
+    def objective_rows(t, X):
+        return t - (X[:, 0] - 1.0 - t) ** 2  # peak t at x = 1 + t
+
+    best, used, vals = _sampled_sup(objective_rows, starts, step=0.1, k=3, iters=20, times=times)
+    order = np.argsort(-vals, kind="stable")[:3]
+    assert {i // len(starts) for i in order} == {0, 1}  # the ascents run at both times at once
+    solo = [
+        _ascent(lambda X, rows, t=times[i // len(starts)]: objective_rows(t, X), starts[[i % len(starts)]], 0.1, iters=20)
+        for i in order
+    ]
+    assert used == sum(int(its[0]) for _, its in solo)
+    assert best == max(vals.max(), *(float(v[0]) for v, _ in solo))
+    assert best == pytest.approx(1.0, abs=1e-9)

@@ -222,3 +222,24 @@ def test_run_validation():
         mirror_descent_run(prob, -0.1, 10, np.zeros(3))
     with pytest.raises(DimensionError):
         mirror_descent_run(prob, 0.1, 10, np.zeros(4))
+
+
+def test_path_rate_equals_per_checkpoint_loop():
+    from sipkit.measures import operator_rate
+    from sipkit.mirror import _dual_hessian
+
+    prob, *_ = spread_row_problem(p=1.5)
+    u0 = np.array([0.3, -0.2, 0.1])
+    steps = 40
+    for theta in (None, np.array([1.0, 2.0, 0.5])):
+        _, rep = mirror_descent_run(prob, 0.1, steps, u0, theta=theta)
+        spec = NormSpec(p=3.0, weight=None if theta is None else np.diag(theta))
+        worst = None
+        for k in np.unique(np.linspace(0, steps, num=5, dtype=int)):
+            uk, _ = mirror_descent_run(prob, 0.1, int(k), u0, rate_checkpoints=1)
+            est = operator_rate(-_dual_hessian(uk, prob), spec)
+            if worst is None or est.value > worst.value:
+                worst = est
+        got = rep.path_rate
+        assert (got.kind, got.samples, got.ascent_iters) == (worst.kind, worst.samples, worst.ascent_iters)
+        assert got.value == pytest.approx(worst.value, rel=1e-8)
