@@ -560,8 +560,8 @@ def _operator_rates(As, spec: NormSpec = NormSpec(), samples=200, seed=0) -> lis
     def quotients(X, owner):
         # every row under its own matrix; a single matrix takes the plain
         # product, a third of the cost of the gathered product per call
-        images = X @ As[0].T if B == 1 else (As[owner] @ X[:, :, None])[:, :, 0]
-        return _quotient_rows(X, images, spec, 1e-150)
+        AX = X @ As[0].T if B == 1 else (As[owner] @ X[:, :, None])[:, :, 0]
+        return _quotient_rows(X, AX, spec, 1e-150)
 
     best, used = _ascend_best(quotients, vs, vals, 1, 0.1, 50, None)
     return [RateEstimate(float(b), SAMPLED, samples=samples, ascent_iters=int(u)) for b, u in zip(best, used)]
