@@ -17,7 +17,6 @@ from .errors import (
     DivergenceError,
     EvaluationError,
     RegularityError,
-    ScenarioError,
     SipkitError,
     StepSizeError,
     SymmetryError,

@@ -7,7 +7,8 @@ Usage:
 A scenario is a JSON object with keys "kind", "parameters", and optional
 "seed" and "output_dir".  `run` writes report.json plus any CSV series
 into the output directory and exits 0 on a passing certificate, 2 on a
-failing one, 1 on errors, 64 on an unknown kind.  report.json is
+failing one, 1 on errors (a seed that is not an integer among them), 64
+on an unknown kind or a malformed command line.  report.json is
 byte-identical across runs with the same scenario and seed; wall time is
 written to a separate wall_time.txt sidecar to keep it that way.
 """
@@ -120,21 +121,19 @@ def _rate_entry(est) -> dict:
 # -------------------------------------------------------------- handlers
 
 
-def _parse_p(raw) -> float:
-    if isinstance(raw, str):
-        if raw.lower() in ("inf", "infinity"):
-            return math.inf
-        return float(raw)
-    return float(raw)
-
-
 def _matrix(raw) -> np.ndarray:
     return np.asarray(raw, dtype=float)
 
 
+def _ball_sampler(params, dim, count_key, count, seed):
+    """Seeded probes in the ball of the scenario's radius (default 1) about 0."""
+    ball = Ball(np.zeros(dim), float(params.get("radius", 1.0)))
+    return DomainSampler(ball, count=int(params.get(count_key, count)), seed=seed)
+
+
 def _run_measure(params, seed, outdir):
     A = _matrix(params["matrix"])
-    spec = NormSpec(p=_parse_p(params["p"]))
+    spec = NormSpec(p=float(params["p"]))
     if "weight" in params:
         spec = NormSpec(p=spec.p, weight=_matrix(params["weight"]))
     est = operator_rate(A, spec, seed=seed)
@@ -143,13 +142,9 @@ def _run_measure(params, seed, outdir):
 
 def _run_verify(params, seed, outdir):
     A = _matrix(params["matrix"])
-    spec = NormSpec(p=_parse_p(params["p"]))
+    spec = NormSpec(p=float(params["p"]))
     f = VectorField.linear(A)
-    sampler = DomainSampler(
-        Ball(np.zeros(A.shape[0]), float(params.get("radius", 1.0))),
-        count=int(params.get("pairs", 10)),
-        seed=seed,
-    )
+    sampler = _ball_sampler(params, A.shape[0], "pairs", 10, seed)
     a, b = sampler.pairs()
     res = verify_contraction(
         f,
@@ -173,13 +168,9 @@ def _run_subspace(params, seed, outdir):
     A = _matrix(params["matrix"])
     f = VectorField.linear(A)
     sub = SubspaceSpec(_matrix(params["projection"]))
-    sampler = DomainSampler(
-        Ball(np.zeros(A.shape[0]), float(params.get("radius", 1.0))),
-        count=int(params.get("samples", 100)),
-        seed=seed,
-    )
+    sampler = _ball_sampler(params, A.shape[0], "samples", 100, seed)
     rep = subspace_certificate(
-        f, sub, sampler, NormSpec(p=_parse_p(params["p"])), tol=float(params.get("tol", 1e-8))
+        f, sub, sampler, NormSpec(p=float(params["p"])), tol=float(params.get("tol", 1e-8))
     )
     results = {
         "invariance_residual": rep.invariance_residual,
@@ -358,7 +349,7 @@ def _run_regress(params, seed, outdir):
     prob = RegressionProblem(
         samples=tuple((i, ys[i]) for i in range(len(ys))),
         features=lambda i: rows[int(i)],
-        p=_parse_p(params["p"]),
+        p=float(params["p"]),
     )
     steps = int(params["steps"])
     alpha = float(params["alpha"])
@@ -384,11 +375,7 @@ def _run_symmetry(params, seed, outdir):
     A = _matrix(params["matrix"])
     T = _matrix(params["transform"])
     f = VectorField.linear(A)
-    sampler = DomainSampler(
-        Ball(np.zeros(A.shape[0]), float(params.get("radius", 1.0))),
-        count=int(params.get("samples", 50)),
-        seed=seed,
-    )
+    sampler = _ball_sampler(params, A.shape[0], "samples", 50, seed)
     residual = equivariance_residual(f, LinearSymmetry(T), sampler)
     tol = float(params.get("tol", 1e-8))
     return {"equivariance_residual": residual, "tol": tol}, {}, bool(residual <= tol)
@@ -417,20 +404,6 @@ KINDS = {
 # -------------------------------------------------------------- dispatch
 
 
-def _load_scenario(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        return None, f"cannot read scenario file: {exc}"
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return None, f"scenario parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-    if not isinstance(doc, dict):
-        return None, "scenario must be a JSON object"
-    return doc, None
-
-
 def _key_problems(kind: str, params: dict) -> str:
     """Missing required and unknown parameter keys of a scenario, as one
     message ('' when there are none)."""
@@ -445,54 +418,63 @@ def _key_problems(kind: str, params: dict) -> str:
     return "; ".join(problems)
 
 
-def validate_scenario(path) -> int:
-    doc, err = _load_scenario(path)
-    if err:
-        print(err, file=sys.stderr)
-        return 1
-    kind = doc.get("kind")
-    if kind not in KINDS:
-        print(f"unknown scenario kind {kind!r}\n{USAGE}", file=sys.stderr)
-        return 64
-    problems = _key_problems(kind, doc.get("parameters", {}))
+def _fail(message, code=1) -> int:
+    """Print message to stderr and return the exit code."""
+    print(message, file=sys.stderr)
+    return code
+
+
+def _checked_scenario(path):
+    """(document, 0) for a scenario file that parses to an object of a
+    known kind with the right parameter keys; otherwise (None, exit code)
+    after printing why: 64 for an unknown kind, 1 for anything else."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        return None, _fail(f"cannot read scenario file: {exc}")
+    except json.JSONDecodeError as exc:
+        return None, _fail(f"scenario parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if not isinstance(doc, dict):
+        return None, _fail("scenario must be a JSON object")
+    if doc.get("kind") not in KINDS:
+        return None, _fail(f"unknown scenario kind {doc.get('kind')!r}\n{USAGE}", 64)
+    problems = _key_problems(doc["kind"], doc.get("parameters", {}))
     if problems:
-        print(f"scenario invalid: {problems}", file=sys.stderr)
-        return 1
-    print(f"ok: {kind} scenario with all required keys")
-    return 0
+        return None, _fail(f"scenario invalid: {problems}")
+    return doc, 0
+
+
+def validate_scenario(path) -> int:
+    doc, code = _checked_scenario(path)
+    if doc is not None:
+        print(f"ok: {doc['kind']} scenario with all required keys")
+    return code
 
 
 def run_scenario(path, out_override=None, seed_override=None) -> int:
-    doc, err = _load_scenario(path)
-    if err:
-        print(err, file=sys.stderr)
-        return 1
-    kind = doc.get("kind")
-    if kind not in KINDS:
-        print(f"unknown scenario kind {kind!r}\n{USAGE}", file=sys.stderr)
-        return 64
-    params = doc.get("parameters", {})
-    problems = _key_problems(kind, params)
-    if problems:
-        print(f"scenario invalid: {problems}", file=sys.stderr)
-        return 1
-    seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
+    """Run a scenario file, with seed_override in place of its seed when given."""
+    doc, code = _checked_scenario(path)
+    if doc is None:
+        return code
+    kind, params = doc["kind"], doc.get("parameters", {})
+    raw_seed = doc.get("seed", 0) if seed_override is None else seed_override
+    try:
+        seed = int(raw_seed)
+    except (TypeError, ValueError, OverflowError):
+        return _fail(f"scenario invalid: seed {raw_seed!r} is not an integer")
     outdir = Path(out_override if out_override is not None else doc.get("output_dir", "."))
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"cannot create output directory {outdir}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"cannot create output directory {outdir}: {exc}")
 
     started = time.perf_counter()
     try:
         results, series, passed = KINDS[kind][0](params, seed, outdir)
     except SipkitError as exc:
-        print(f"error running {kind} scenario: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"error running {kind} scenario: {exc}")
     except Exception as exc:  # malformed parameter payloads land here
-        print(f"error running {kind} scenario: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"error running {kind} scenario: {type(exc).__name__}: {exc}")
     wall = time.perf_counter() - started
 
     series_paths = {}
@@ -511,8 +493,7 @@ def run_scenario(path, out_override=None, seed_override=None) -> int:
         # wall time lives outside report.json so reports stay byte-identical
         (outdir / "wall_time.txt").write_text(f"{wall:.6f}\n")
     except (OSError, SipkitError) as exc:
-        print(f"error writing outputs: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"error writing outputs: {exc}")
     print(f"{kind}: {'pass' if passed else 'FAIL'} (report at {outdir / 'report.json'})")
     return 0 if passed else 2
 
@@ -525,8 +506,7 @@ def main(argv=None) -> int:
     cmd, rest = args[0], args[1:]
     if cmd == "validate":
         if len(rest) != 1:
-            print(USAGE, file=sys.stderr)
-            return 64
+            return _fail(USAGE, 64)
         return validate_scenario(rest[0])
     if cmd == "run":
         path, opts = None, {"--out": None, "--seed": None}
@@ -535,23 +515,21 @@ def main(argv=None) -> int:
             if tok in opts:
                 opts[tok] = next(it, None)
                 if opts[tok] is None:
-                    print(f"option {tok} needs a value\n{USAGE}", file=sys.stderr)
-                    return 64
+                    return _fail(f"option {tok} needs a value\n{USAGE}", 64)
             elif tok.startswith("-"):
-                print(f"unknown option {tok}\n{USAGE}", file=sys.stderr)
-                return 64
+                return _fail(f"unknown option {tok}\n{USAGE}", 64)
             elif path is None:
                 path = tok
             else:
-                print(USAGE, file=sys.stderr)
-                return 64
-        seed = opts["--seed"]
-        if path is None or (seed is not None and not seed.lstrip("-").isdigit()):
-            print(USAGE, file=sys.stderr)
-            return 64
+                return _fail(USAGE, 64)
+        if path is None:
+            return _fail(USAGE, 64)
+        try:
+            seed = None if opts["--seed"] is None else int(opts["--seed"])
+        except ValueError:
+            return _fail(USAGE, 64)
         return run_scenario(path, out_override=opts["--out"], seed_override=seed)
-    print(f"unknown command {cmd!r}\n{USAGE}", file=sys.stderr)
-    return 64
+    return _fail(f"unknown command {cmd!r}\n{USAGE}", 64)
 
 
 if __name__ == "__main__":

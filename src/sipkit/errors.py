@@ -63,11 +63,3 @@ class DegenerateProjectionError(SipkitError, ValueError):
 
 class CertificateRefusedError(SipkitError, RuntimeError):
     """A solve was refused because its contraction certificate failed."""
-
-
-class ScenarioError(SipkitError, ValueError):
-    """Scenario file is missing keys or has an unknown kind."""
-
-    def __init__(self, message, missing=()):
-        super().__init__(message)
-        self.missing = tuple(missing)

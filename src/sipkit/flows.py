@@ -15,7 +15,7 @@ verify_contraction and couplings.product_lp_rate step through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -22,7 +22,7 @@ quotients come from the fused row kernel spaces._quotient_rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -237,6 +237,20 @@ class DomainSampler:
 # ---------------------------------------------------------- vector fields
 
 
+def _fd(g, x, d, h):
+    """Central difference of g at x along d with step h:
+    (g(x + h d) - g(x - h d)) / (2h)."""
+    step = h * d
+    return (g(x + step) - g(x - step)) / (2.0 * h)
+
+
+def _fd_jacobian(g, u):
+    """Jacobian of g at the vector u by central differences; column j
+    steps along the j-th axis by 1e-6 (1 + |u_j|)."""
+    cols = [_fd(g, u, e, 1e-6 * (1.0 + abs(uj))) for e, uj in zip(np.eye(len(u)), u)]
+    return np.array(cols).T.copy()  # C order, as the columns of a filled matrix
+
+
 def _checked_value(u, out):
     """out as an array, after checking that it has u's shape and is finite;
     for a stack the error's point is the first row with a non-finite value."""
@@ -297,20 +311,14 @@ class VectorField:
         return _checked_value(u, out if self.offset is None else out + self.offset)
 
     def jacobian(self, t, u):
+        """The analytic Jacobian when given, else _fd_jacobian of the field."""
         u = np.asarray(u, dtype=float)
         if self.jac is not None:
             J = np.asarray(self.jac(float(t), u))
             if J.shape != (self.dim, self.dim):
                 raise EvaluationError(f"jacobian returned shape {J.shape}", point=u)
             return J
-        # central differences, relative step per coordinate
-        J = np.zeros((self.dim, self.dim))
-        for j in range(self.dim):
-            h = 1e-6 * (1.0 + abs(u[j]))
-            e = np.zeros(self.dim)
-            e[j] = h
-            J[:, j] = (self(t, u + e) - self(t, u - e)) / (2.0 * h)
-        return J
+        return _fd_jacobian(lambda v: self(t, v), u)
 
 
 # ------------------------------------------------------------- ascent
@@ -609,7 +617,8 @@ def integral_rate(
     sip(u - v, f(t,u) - f(t,v)) / ||u - v||^2.
 
     Exact for affine fields; otherwise a sampled lower bound over the
-    sampler's region, refined by ascent from the best starting pairs.
+    sampler's region, refined by ascent from the best starting pairs; f
+    is called once on each side's stack of states per sweep or step.
     """
     if f.matrix is not None:
         est = _affine_exact(f, spec, seed=sampler.seed if sampler else 0)
@@ -622,9 +631,7 @@ def integral_rate(
     proj = sampler.region.project
 
     def quot(t, X):
-        # fields take one point at a time; only the quotients are batched
-        F = np.array([f(t, u) - f(t, v) for u, v in zip(X[:, :n], X[:, n:])])
-        return _quotient_rows(X[:, :n] - X[:, n:], F, spec, 1e-12)
+        return _quotient_rows(X[:, :n] - X[:, n:], f(t, X[:, :n]) - f(t, X[:, n:]), spec, 1e-12)
 
     def project(X):
         return np.hstack([proj(X[:, :n]), proj(X[:, n:])])
@@ -670,8 +677,8 @@ class WeightFamily:
     """State- and time-dependent weight Theta(t, u).
 
     ``dt`` is the partial time derivative, ``du`` the directional state
-    derivative (t, u, w) -> D Theta(t,u)[w]; both fall back to central
-    differences when omitted.
+    derivative (t, u, w) -> D Theta(t,u)[w]; both fall back to the central
+    difference _fd when omitted.
     """
 
     theta: Callable
@@ -692,8 +699,7 @@ class WeightFamily:
         if self.dt is not None:
             Wt = np.asarray(self.dt(float(t), np.asarray(u)), dtype=float)
         else:
-            h = 1e-6 * (1.0 + abs(t))
-            Wt = (self.matrix(t + h, u) - self.matrix(t - h, u)) / (2.0 * h)
+            Wt = _fd(lambda s: self.matrix(s, u), t, 1.0, 1e-6 * (1.0 + abs(t)))
         w = np.asarray(direction, dtype=float)
         if self.du is not None:
             Wu = np.asarray(self.du(float(t), np.asarray(u), w), dtype=float)
@@ -703,7 +709,7 @@ class WeightFamily:
                 Wu = np.zeros_like(Wt)
             else:
                 h = 1e-6 * (1.0 + np.linalg.norm(u)) / nw
-                Wu = (self.matrix(t, u + h * w) - self.matrix(t, u - h * w)) / (2.0 * h)
+                Wu = _fd(lambda v: self.matrix(t, v), u, w, h)
         return Wt + Wu
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateArgumentError, DimensionError, UnsupportedNormError
 from .flows import overshoot_fit
-from .measures import RateEstimate, _operator_rates
+from .measures import RateEstimate, _fd_jacobian, _operator_rates
 from .spaces import NormSpec, as_vector, conjugate_exponent
 
 ROUNDTRIP_TOL = 1e-10
@@ -163,20 +163,14 @@ def risk_and_gradient(u, prob: RegressionProblem) -> Tuple[float, np.ndarray]:
 
 
 def _dual_hessian(u: np.ndarray, prob: RegressionProblem) -> np.ndarray:
-    """H = d(DL)/d(u*) by central finite differences through the inverse map."""
-    ustar = duality_map(u, prob.p)
-    n = ustar.shape[0]
-    H = np.zeros((n, n))
-    for j in range(n):
-        h = 1e-6 * (1.0 + abs(ustar[j]))
-        up = ustar.copy()
-        up[j] += h
-        um = ustar.copy()
-        um[j] -= h
-        _, gp = risk_and_gradient(inverse_duality(up, prob.p), prob)
-        _, gm = risk_and_gradient(inverse_duality(um, prob.p), prob)
-        H[:, j] = (gp - gm) / (2.0 * h)
-    return H
+    """H = d(DL)/d(u*): _fd_jacobian, at u* = duality_map(u), of the risk
+    gradient through the inverse map, on dual rows built once."""
+    D, y = _dual_rows(prob), prob.targets()
+
+    def gradient(ustar):
+        return _risk_grad_from(D, y, prob.loss, inverse_duality(ustar, prob.p))[1]
+
+    return _fd_jacobian(gradient, duality_map(u, prob.p))
 
 
 @dataclass

@@ -30,10 +30,14 @@ from .measures import (
     BLOWUP,
     EIGEN,
     SAMPLED,
+    Ball,
     DomainSampler,
     RateEstimate,
     VectorField,
+    _fd,
+    differential_rate,
     integral_rate,
+    operator_rate,
 )
 from .spaces import NormSpec, norm
 
@@ -580,10 +584,11 @@ def conservation_rate(
     """Rate of the linearized conservation law A(u)v = -d/dx (f'(u) v)
     on the mass-zero subspace (periodic grid, central differences).
 
-    flux is the scalar flux f; alternatively flux_prime_operator gives
-    f' directly as a (possibly nonlocal) matrix.  The skewness residual
-    is the largest symmetric-part norm seen, zero exactly when the
-    linearization is skew (linear advection, odd difference operators).
+    flux is the scalar flux f, whose derivative f' is taken by _fd with
+    step 1e-6; alternatively flux_prime_operator gives f' directly as a
+    (possibly nonlocal) matrix.  The skewness residual is the largest
+    symmetric-part norm seen, zero exactly when the linearization is
+    skew (linear advection, odd difference operators).
     """
     if grid.bc != "periodic":
         raise DegenerateArgumentError("conservation analysis assumes a periodic grid")
@@ -595,9 +600,7 @@ def conservation_rate(
         if flux_prime_operator is not None:
             G = np.asarray(flux_prime_operator, dtype=float)
         else:
-            eps = 1e-6
-            fp = (np.asarray(flux(u + eps)) - np.asarray(flux(u - eps))) / (2.0 * eps)
-            G = np.diag(fp)
+            G = np.diag(_fd(lambda v: np.asarray(flux(v)), u, 1.0, 1e-6))
         A = -Dc @ G
         M = V.T @ A @ V
         H = (M + M.T) / 2.0
@@ -608,17 +611,10 @@ def conservation_rate(
         return ConservationReport(RateEstimate(val, EIGEN, samples=1), skew)
     if sampler is None:
         raise DegenerateArgumentError("state-dependent flux needs a sampler")
-    best, worst_skew = -math.inf, 0.0
-    count = 0
-    for u in sampler.points():
-        v, s = rate_of(demean(u))
-        best = max(best, v)
-        worst_skew = max(worst_skew, s)
-        count += 1
-    return ConservationReport(
-        RateEstimate(best, SAMPLED, samples=count, note="eigen-exact per sampled state"),
-        worst_skew,
-    )
+    rates = np.array([rate_of(demean(u)) for u in sampler.points()]).reshape(-1, 2)
+    best = float(rates[:, 0].max(initial=-math.inf))
+    est = RateEstimate(best, SAMPLED, samples=len(rates), note="eigen-exact per sampled state")
+    return ConservationReport(est, float(rates[:, 1].max(initial=0.0)))
 
 
 # ----------------------------------------------------------- fixed points
@@ -701,16 +697,10 @@ def fixed_point_solve(
     """
     N = F.dim
     if F.matrix is not None:
-        from .measures import operator_rate
-
         est = operator_rate(F.matrix, spec)
     else:
         if sampler is None:
-            from .measures import Ball
-
             sampler = DomainSampler(Ball(np.zeros(N), 1.0), count=12, seed=0)
-        from .measures import differential_rate
-
         est = differential_rate(F, sampler, spec, times=(0.0,), ascent_starts=1)
         est = RateEstimate(
             est.value, est.kind, est.samples, est.ascent_iters,

@@ -252,6 +252,22 @@ def test_option_without_value_is_usage_error(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("bad", ["--5", "²", "1.5"])
+def test_non_integer_seed_flag_is_usage_error(tmp_path, capsys, bad):
+    f = write_scenario(tmp_path, "m", {"kind": "measure", "parameters": {"matrix": [[-1]], "p": 2}})
+    out = tmp_path / "out"
+    assert main(["run", str(f), "--out", str(out), "--seed", bad]) == 64
+    assert "usage:" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_non_integer_scenario_seed_is_an_error(tmp_path, capsys):
+    doc = {"kind": "measure", "seed": "abc", "parameters": {"matrix": [[-1]], "p": 2}}
+    code, rep, _ = run_scen(tmp_path, "badseed", doc)
+    assert (code, rep) == (1, None)
+    assert capsys.readouterr().err == "scenario invalid: seed 'abc' is not an integer\n"
+
+
 def test_bad_parameter_payload_is_an_error(tmp_path):
     f = write_scenario(
         tmp_path, "ragged", {"kind": "measure", "parameters": {"matrix": [[1, 2], [3]], "p": 2}}
