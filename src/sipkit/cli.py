@@ -425,9 +425,9 @@ def _fail(message, code=1) -> int:
 
 
 def _checked_scenario(path):
-    """(document, 0) for a scenario file that parses to an object of a
-    known kind with the right parameter keys; otherwise (None, exit code)
-    after printing why: 64 for an unknown kind, 1 for anything else."""
+    """(document, 0) for a scenario object of a known kind, a parameter
+    object with the right keys and no non-string output_dir; otherwise
+    (None, exit code) after printing why: 64 for an unknown kind, else 1."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -436,9 +436,14 @@ def _checked_scenario(path):
         return None, _fail(f"scenario parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):
         return None, _fail("scenario must be a JSON object")
-    if doc.get("kind") not in KINDS:
-        return None, _fail(f"unknown scenario kind {doc.get('kind')!r}\n{USAGE}", 64)
-    problems = _key_problems(doc["kind"], doc.get("parameters", {}))
+    kind, params = doc.get("kind"), doc.get("parameters", {})
+    if not isinstance(kind, str) or kind not in KINDS:
+        return None, _fail(f"unknown scenario kind {kind!r}\n{USAGE}", 64)
+    if not isinstance(params, dict):
+        return None, _fail("scenario invalid: parameters must be a JSON object")
+    if not isinstance(doc.get("output_dir", "."), str):
+        return None, _fail("scenario invalid: output_dir must be a string")
+    problems = _key_problems(kind, params)
     if problems:
         return None, _fail(f"scenario invalid: {problems}")
     return doc, 0

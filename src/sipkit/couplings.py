@@ -5,8 +5,10 @@ the assembled system: nonnegative additive mixes, skew-adjoint feedback
 pairs, block-diagonal products in l^p product norms, feedforward
 cascades, and continuum (quadrature-weighted) families.  Each bound is
 paired with a direct computation on the combined system so conservatism
-is visible.  The zero-diagonal unitary used by the divergence corollary
-is constructed explicitly from numerical-range convexity.
+is visible; the feedback and product certificates assemble every sampled
+Jacobian once and rate slices of that one stack in one call each.  The
+zero-diagonal unitary used by the divergence corollary is constructed
+explicitly from numerical-range convexity.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .measures import (
     DomainSampler,
     RateEstimate,
     VectorField,
+    _operator_rates,
     integral_rate,
-    operator_rate,
 )
 from .spaces import NormSpec, _quotient_rows, norm_rows
 
@@ -99,21 +101,6 @@ class BlockSystem:
     def assemble(self, t, u):
         n = self.n_blocks
         return np.block([[self.block(i, j, t, u) for j in range(n)] for i in range(n)])
-
-    def diagonal(self, t, u):
-        n = self.n_blocks
-        return np.block(
-            [
-                [
-                    self.block(i, j, t, u) if i == j else np.zeros((self.dims[i], self.dims[j]))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-
-    def off_diagonal(self, t, u):
-        return self.assemble(t, u) - self.diagonal(t, u)
 
 
 @dataclass(frozen=True)
@@ -197,14 +184,34 @@ def additive_rate(
 
 
 def _zero_range_residual(F, spec: NormSpec, seed=0):
-    """sup over unit v of |sip(v, Fv)|; exact via symmetric eigenvalues
-    in the plain l2 norm, else over 200 probes in one _quotient_rows call."""
+    """sup over unit v of |sip(v, Fv)| for a matrix or a stack of them; exact
+    via symmetric eigenvalues in the plain l2 norm, else over 200 probes in
+    one _quotient_rows call."""
+    Ft = np.swapaxes(F, -1, -2)
     if spec.p == 2.0 and spec.weight is None and not spec.stack:
-        w = np.linalg.eigvalsh((F + F.T) / 2.0)
+        w = np.linalg.eigvalsh((F + Ft) / 2.0)
         return float(np.max(np.abs(w)))
-    vs = np.random.default_rng(seed).normal(size=(200, F.shape[0]))
-    q = _quotient_rows(vs, vs @ F.T, spec, 1e-150)
+    vs = np.random.default_rng(seed).normal(size=(200, F.shape[-1]))
+    images = vs @ Ft
+    probes = np.broadcast_to(vs, images.shape).reshape(-1, vs.shape[1])
+    q = _quotient_rows(probes, images.reshape(probes.shape), spec, 1e-150)
     return float(np.abs(q[q > -math.inf]).max(initial=0.0))
+
+
+def _sampled_jacobians(sys: BlockSystem, sampler: DomainSampler, times):
+    """The assembled Jacobian at every time and sampled state (the zero state
+    without a sampler) as one stack, and the index slice of every block."""
+    states = [np.zeros(sys.total_dim)] if sampler is None else sampler.points()
+    if len(states[0]) != sys.total_dim:
+        raise DimensionError("sampler dimension does not match the block system")
+    Js = np.array([sys.assemble(t, u) for t in times for u in states])
+    ends = np.cumsum(sys.dims)
+    return Js, [slice(end - d, end) for d, end in zip(sys.dims, ends)]
+
+
+def _block_rates(Js, blocks, spec: NormSpec):
+    """Largest rate of every diagonal block over the stack."""
+    return [max(est.value for est in _operator_rates(Js[:, b, b], spec)) for b in blocks]
 
 
 def feedback_certificate(
@@ -224,30 +231,17 @@ def feedback_certificate(
     """
     if sys.n_blocks != 2:
         raise DimensionError("feedback certificate needs exactly two blocks")
-    if sampler is None:
-        states = [np.zeros(sys.total_dim)]
-    else:
-        if sampler.dim != sys.total_dim:
-            raise DimensionError("sampler dimension does not match the block system")
-        states = list(sampler.points())
-    skew = 0.0
-    rates = [-math.inf, -math.inf]
-    composite = -math.inf
-    zr = 0.0
-    for t in times:
-        for u in states:
-            J12 = sys.block(0, 1, t, u)
-            J21 = sys.block(1, 0, t, u)
-            skew = max(skew, float(np.linalg.norm(J12 + J21.T, 2)))
-            for i in range(2):
-                rates[i] = max(rates[i], operator_rate(sys.block(i, i, t, u), spec).value)
-            composite = max(composite, operator_rate(sys.assemble(t, u), spec).value)
-            zr = max(zr, _zero_range_residual(sys.off_diagonal(t, u), spec))
+    Js, (b0, b1) = _sampled_jacobians(sys, sampler, times)
+    skew = np.linalg.norm(Js[:, b0, b1] + Js[:, b1, b0].transpose(0, 2, 1), 2, axis=(1, 2))
+    rates = _block_rates(Js, (b0, b1), spec)
+    composite = max(est.value for est in _operator_rates(Js, spec))
+    off = Js.copy()
+    off[:, b0, b0] = off[:, b1, b1] = 0.0
     return FeedbackReport(
-        skewness_residual=skew,
+        skewness_residual=float(skew.max(initial=0.0)),
         block_rates=tuple(rates),
         composite_rate=float(composite),
-        zero_range_residual=zr,
+        zero_range_residual=_zero_range_residual(off, spec),
         equivalence_gap=float(composite - max(rates)),
     )
 
@@ -273,20 +267,11 @@ def product_lp_rate(
     product rate; off-diagonal coupling must be zero-range for that to
     hold, which is exactly what the dominance flag probes.
     """
-    p = sys.product_p
-    spec = NormSpec(p=p)
-    if sampler is None:
-        states = [np.zeros(sys.total_dim)]
-    else:
-        states = list(sampler.points())
-    per = [-math.inf] * sys.n_blocks
-    for t in times:
-        for u in states:
-            for i in range(sys.n_blocks):
-                per[i] = max(per[i], operator_rate(sys.block(i, i, t, u), spec).value)
+    spec = NormSpec(p=sys.product_p)
+    Js, blocks = _sampled_jacobians(sys, sampler, times)
+    per = _block_rates(Js, blocks, spec)
     product = max(per)
-    A = sys.assemble(times[0], states[0])
-    lin = VectorField.linear(A)
+    lin = VectorField.linear(Js[0])
     fitted = -math.inf
     if n_perturbations > 0:
         # each perturbation is paired with the rest state 0, which the

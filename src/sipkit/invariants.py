@@ -32,10 +32,10 @@ from .measures import (
     DomainSampler,
     RateEstimate,
     VectorField,
+    _closed_lognorms,
     _fd,
     _fd_jacobian,
     _state_sup,
-    lognorm_closed,
 )
 from .spaces import NormSpec, _quotient_rows, norm, norm_rows, sip_rows
 
@@ -207,14 +207,12 @@ def _projected_rate_linear(A, Q, spec: NormSpec):
         # orthonormal range of Q, with scipy.linalg.orth's rank rule
         U, sv, _ = np.linalg.svd(Q)
         V = U[:, sv > sv[0] * max(Q.shape) * np.finfo(float).eps]
-        M = V.T @ Q @ A @ V
-        val = float(np.linalg.eigvalsh((M + M.T) / 2.0)[-1])
+        val = float(_closed_lognorms((V.T @ Q @ A @ V)[None], 2.0)[0])
         return RateEstimate(val, EIGEN, note="compressed to complement range")
     idx = _coordinate_support(Q)
     if idx is not None and spec.p in (1.0, math.inf):
-        sub = A[np.ix_(idx, idx)]
-        est = lognorm_closed(sub, spec.p)
-        return RateEstimate(est.value, EXACT, note="coordinate compression")
+        val = float(_closed_lognorms(A[np.ix_(idx, idx)][None], spec.p)[0])
+        return RateEstimate(val, EXACT, note="coordinate compression")
     return None
 
 
@@ -313,17 +311,16 @@ def _constraint_rate(f, man: ManifoldSpec, sampler: DomainSampler, spec: NormSpe
 
     def rates_at(t, X):
         out = np.full(len(X), -math.inf)  # stays -inf where the constraint is blind
-        seen, U, W = [], [], []
-        for i, u in enumerate(X):
-            J = man.jacobian(u)
-            if np.linalg.svd(J, compute_uv=False)[-1] > RANK_TOL:
-                du = ys @ np.linalg.pinv(J).T
-                seen.append(i)
-                U.append(du @ J.T)
-                W.append(du @ f.jacobian(t, u).T @ J.T)
-        if seen:
-            q = _quotient_rows(np.concatenate(U), np.concatenate(W), spec, 1e-12)
-            out[seen] = q.reshape(len(seen), -1).max(axis=1)
+        Js = np.array([man.jacobian(u) for u in X])
+        seen = np.linalg.svd(Js, compute_uv=False)[:, -1] > RANK_TOL
+        if seen.any():
+            Js = Js[seen]
+            Jt = Js.transpose(0, 2, 1)
+            DU = ys @ np.linalg.pinv(Js).transpose(0, 2, 1)
+            Fs = np.array([f.jacobian(t, u) for u in X[seen]])
+            U, W = DU @ Jt, DU @ Fs.transpose(0, 2, 1) @ Jt
+            q = _quotient_rows(U.reshape(-1, man.codim), W.reshape(-1, man.codim), spec, 1e-12)
+            out[seen] = q.reshape(len(Js), -1).max(axis=1)
         return out
 
     best, used, vals = _state_sup(rates_at, sampler, times, 2)

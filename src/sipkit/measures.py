@@ -13,10 +13,12 @@ gradient stacks x + diag(h) of every problem still running and one on
 their candidates.  _sampled_sup is a single supremum over times and
 starts; _operator_rates rates a (B, n, n) stack of matrices at once, with
 stacked closed forms for p in {1, 2, inf} and otherwise one sweep and one
-lockstep ascent for all B, and operator_rate is its B = 1 case.  So the
+lockstep ascent for all B, and operator_rate is its B = 1 case, so the
 inner log norms of differential_rate and of varying weighted_rate cost
-one batched call per sweep and per ascent step, not one per state.  The
-quotients come from the fused row kernel spaces._quotient_rows.
+one batched call per sweep and per ascent step.  Every matrix rate that
+a certificate takes is one stacked call of _operator_rates or of its
+closed forms, _closed_lognorms.  The quotients come from the fused row
+kernel spaces._quotient_rows.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ closed form (no operator is built or eigensolved), method-of-lines
 reaction-diffusion simulation, pattern suppression and excitation
 reports, Sobolev-type stacked rates, conservation-law rate analysis on
 the mass-zero subspace, and a contraction-backed fixed-point solver for
-time-independent equations.
+time-independent equations.  The pattern and conservation reports rate
+their whole stack of compressed Jacobians in one closed-form call.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .measures import (
     DomainSampler,
     RateEstimate,
     VectorField,
+    _closed_lognorms,
     _fd,
     differential_rate,
     integral_rate,
@@ -237,8 +239,9 @@ def mass_zero_basis(n: int):
 
 
 def demean(u):
+    """u minus its mean; a stack of states is demeaned row by row."""
     u = np.asarray(u, dtype=float)
-    return u - u.mean()
+    return u - u.mean(axis=-1, keepdims=True)
 
 
 class DemeanedRegion:
@@ -367,26 +370,18 @@ class ExcitationReport:
     passed: bool
 
 
-def _complement_rate(J, V):
-    M = V.T @ J @ V
-    return float(np.linalg.eigvalsh((M + M.T) / 2.0)[-1])
-
-
 def _suppression_report(alpha, f, grid, sampler, times, t_span, h_t, tol):
     N = grid.size
     L = build_laplacian(grid)
     V = mass_zero_basis(N)
     field = VectorField(f, N)
+    X = sampler.points()
     # invariance of the constant subspace under the reaction
-    inv = 0.0
-    rates = []
-    for t in times:
-        for u in sampler.points():
-            cu = np.full(N, u.mean())
-            inv = max(inv, float(np.linalg.norm(demean(field(t, cu)))))
-            rates.append(_complement_rate(field.jacobian(t, u), V))
-    m_f = max(rates)
-    m_lap = _complement_rate(L, V)
+    C = np.repeat(X.mean(axis=1, keepdims=True), N, axis=1)
+    inv = max(float(np.linalg.norm(r)) for t in times for r in demean(field(t, C)))
+    Js = np.array([field.jacobian(t, u) for t in times for u in X] + [L])
+    rates = _closed_lognorms(V.T @ Js @ V, 2.0)
+    m_f, m_lap = float(rates[:-1].max()), float(rates[-1])
     cond_impl = m_f < alpha * abs(m_lap)
     cond_unscaled = m_f < m_lap  # no alpha scaling; dimension-inconsistent, logged only
     predicted = alpha * m_lap + m_f
@@ -444,10 +439,9 @@ def _excitation_report(alphas, f, grid, witness, times, t_span, h_t, tol):
     anti = np.concatenate([ustar, -ustar])
     J = F.jacobian(0.0, anti)
     Vz = mass_zero_basis(N)
-    Vsum = np.vstack([Vz, Vz]) / math.sqrt(2.0)
-    Vdiff = np.vstack([Vz, -Vz]) / math.sqrt(2.0)
-    sum_rate = _complement_rate(J, Vsum)
-    diff_rate = _complement_rate(J, Vdiff)
+    # the synchronized (sum) and the anti-synchronized (pattern) modes
+    Vs = np.array([np.vstack([Vz, Vz]), np.vstack([Vz, -Vz])]) / math.sqrt(2.0)
+    sum_rate, diff_rate = _closed_lognorms(Vs.transpose(0, 2, 1) @ J @ Vs, 2.0).tolist()
 
     if h_t is None:
         h_t = 0.9 * _stability_limit(grid, (a1, a2))
@@ -596,25 +590,22 @@ def conservation_rate(
     Dc = _central_difference(grid)
     V = mass_zero_basis(N)
 
-    def rate_of(u):
-        if flux_prime_operator is not None:
-            G = np.asarray(flux_prime_operator, dtype=float)
-        else:
-            G = np.diag(_fd(lambda v: np.asarray(flux(v)), u, 1.0, 1e-6))
-        A = -Dc @ G
-        M = V.T @ A @ V
-        H = (M + M.T) / 2.0
-        return float(np.linalg.eigvalsh(H)[-1]), float(np.linalg.norm(H, 2))
-
     if flux_prime_operator is not None:
-        val, skew = rate_of(np.zeros(N))
-        return ConservationReport(RateEstimate(val, EIGEN, samples=1), skew)
-    if sampler is None:
+        Gs = np.asarray(flux_prime_operator, dtype=float)[None]
+    elif sampler is None:
         raise DegenerateArgumentError("state-dependent flux needs a sampler")
-    rates = np.array([rate_of(demean(u)) for u in sampler.points()]).reshape(-1, 2)
-    best = float(rates[:, 0].max(initial=-math.inf))
+    else:
+        # a flux may take single states only, so f' is differenced state by state
+        fd = [_fd(lambda v: np.asarray(flux(v)), u, 1.0, 1e-6) for u in demean(sampler.points())]
+        Gs = np.array([np.diag(d) for d in fd])
+    M = V.T @ (-Dc @ Gs) @ V
+    rates = _closed_lognorms(M, 2.0)
+    skews = np.linalg.norm((M + M.transpose(0, 2, 1)) / 2.0, 2, axis=(1, 2))
+    if flux_prime_operator is not None:
+        return ConservationReport(RateEstimate(float(rates[0]), EIGEN, samples=1), float(skews[0]))
+    best = float(rates.max(initial=-math.inf))
     est = RateEstimate(best, SAMPLED, samples=len(rates), note="eigen-exact per sampled state")
-    return ConservationReport(est, float(rates[:, 1].max(initial=0.0)))
+    return ConservationReport(est, float(skews.max(initial=0.0)))
 
 
 # ----------------------------------------------------------- fixed points

@@ -419,3 +419,45 @@ def test_readme_parameter_keys_match_the_kind_table(tmp_path):
     example = json.loads(readme.split("```json")[1].split("```")[0])
     f = write_scenario(tmp_path, "example", example)
     assert main(["validate", str(f)]) == 0
+
+
+@pytest.mark.parametrize(
+    "doc, code, message",
+    [
+        ({"kind": ["measure"], "parameters": {"matrix": [[-1]], "p": 2}}, 64, "unknown scenario kind"),
+        ({"kind": "measure", "parameters": 5}, 1, "scenario invalid: parameters must be a JSON object"),
+        (
+            {"kind": "measure", "parameters": {"matrix": [[-1]], "p": 2}, "output_dir": 7},
+            1,
+            "scenario invalid: output_dir must be a string",
+        ),
+    ],
+    ids=["kind-list", "parameters-number", "output-dir-number"],
+)
+def test_wrongly_typed_scenario_field_is_refused(tmp_path, capsys, doc, code, message):
+    f = write_scenario(tmp_path, "typed", doc)
+    assert main(["validate", str(f)]) == code
+    assert message in capsys.readouterr().err
+    out = tmp_path / "typed-out"
+    assert main(["run", str(f), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    if code == 64:
+        assert "usage: sipkit run" in err
+    assert not (out / "report.json").exists()
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # every `sipkit run` process pays for what `import sipkit` loads, and
+    # scipy.sparse takes several times as long to import as numpy itself
+    import_path = [str(Path(sipkit.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        import_path.append(os.environ["PYTHONPATH"])
+    check = "assert not [m for m in sys.modules if m.startswith('scipy.sparse')]"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sipkit, sipkit.cli, sys; {check}"],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(import_path)},
+    )
+    assert proc.returncode == 0, proc.stderr
