@@ -7,8 +7,9 @@ cascades, and continuum (quadrature-weighted) families.  Each bound is
 paired with a direct computation on the combined system so conservatism
 is visible; the feedback and product certificates assemble every sampled
 Jacobian once and rate slices of that one stack in one call each.  The
-zero-diagonal unitary used by the divergence corollary is constructed
-explicitly from numerical-range convexity.
+zero-diagonal unitary used by the divergence corollary exists for every
+trace-zero matrix; one sweep through a Schur basis per deflation step
+builds it, with no eigenvalue search.
 """
 
 from __future__ import annotations
@@ -388,136 +389,61 @@ def continuum_rate(
 # ------------------------------------------------- zero-diagonal unitary
 
 
-def _range_point(B, target):
-    """Unit vector xi with xi* B xi = target for a 2x2 B whose numerical
-    range contains the target.
+def _range_point(t00, t01, t11, target):
+    """Unit (xi0, xi1) with xi* B xi = target for the upper-triangular
+    B = [[t00, t01], [0, t11]], the target lying at most halfway along
+    the segment from t00 to t11.
 
-    Parameterizing xi = (sqrt(1-s), sqrt(s) e^{i phi}) over the Schur
-    form sweeps the full numerical range (an ellipse); the modulus
-    condition is a real quadratic in s solved in closed form.
+    The numerical range of B is an ellipse with foci t00 and t11, so it
+    holds the segment.  With xi = (sqrt(1-s), sqrt(s) e^{i phi}) the
+    quotient is (1-s) t00 + s t11 + sqrt(s(1-s)) t01 e^{i phi}; matching
+    moduli gives a s^2 - b s + c = 0, whose smaller root lies in [0, 1/2]
+    for such a target and is taken as 2c / (b + sqrt(disc)).  The
+    discriminant is written as |t01|^2 (|t01|^2 + 4(Re z - c)) - 4(Im z)^2
+    with z = conj(t11 - t00)(target - t00), so no digits cancel when the
+    target lies on the segment; phi then matches the direction.
     """
-    from scipy.linalg import schur
-
-    T, Z = schur(np.asarray(B, dtype=complex), output="complex")
-    t00, t11, t01 = T[0, 0], T[1, 1], T[0, 1]
-    d = t11 - t00
-    a2 = abs(d) ** 2 + abs(t01) ** 2
-    if a2 <= 1e-30:
-        xi = np.array([1.0, 0.0], dtype=complex)
-        return Z @ xi
-    b = 2.0 * (np.conj(d) * (target - t00)).real + abs(t01) ** 2
-    c = abs(target - t00) ** 2
-    disc = max(b * b - 4.0 * a2 * c, 0.0)
-    roots = [(b - math.sqrt(disc)) / (2.0 * a2), (b + math.sqrt(disc)) / (2.0 * a2)]
-    s = min((min(max(r, 0.0), 1.0) for r in roots), key=lambda r: abs(r - 0.5))
-    cs = math.sqrt(max(1.0 - s, 0.0)) * math.sqrt(max(s, 0.0))
-    cross = target - ((1.0 - s) * t00 + s * t11)
-    if cs * abs(t01) > 1e-30 and abs(cross) > 0:
-        phase = cross / (cs * t01)
-        phase /= abs(phase)
-    else:
-        phase = 1.0
-    xi = np.array([math.sqrt(max(1.0 - s, 0.0)), math.sqrt(max(s, 0.0)) * phase], dtype=complex)
-    return Z @ xi
-
-
-def _pair_vector(A, q1, q2, target):
-    """Unit vector in span(q1, q2) whose Rayleigh quotient hits target."""
-    q1 = q1 / np.linalg.norm(q1)
-    w2 = q2 - np.vdot(q1, q2) * q1
-    nw = np.linalg.norm(w2)
-    if nw < 1e-12:
-        return None
-    w2 = w2 / nw
-    V = np.column_stack([q1, w2])
-    B = V.conj().T @ A @ V
-    xi = _range_point(B, target)
-    v = V @ xi
-    return v / np.linalg.norm(v)
+    d, w = t11 - t00, target - t00
+    z = np.conj(d) * w
+    c, g = abs(w) ** 2, abs(t01) ** 2
+    disc = max(g * (g + 4.0 * (z.real - c)) - 4.0 * z.imag**2, 0.0)
+    den = 2.0 * z.real + g + math.sqrt(disc)
+    s = min(2.0 * c / den, 1.0) if den > 0 else 0.0
+    p = (w - s * d) * np.conj(t01)
+    return math.sqrt(1.0 - s), math.sqrt(s) * (p / abs(p) if abs(p) > 0 else 1.0)
 
 
 def _rayleigh_zero_vector(A):
-    """Unit v with v* A v = 0 for a trace-free A.
+    """Unit v with v* A v = tr A / n, so zero for a trace-free A.
 
-    The mean of the eigenvalues is zero, so zero lies in their convex
-    hull; pick it off an eigenvalue, an eigen-segment, or a triangle
-    split into two segment problems (numerical-range convexity makes
-    every segment step solvable inside a 2-d compression).
+    In a Schur basis A = Z T Z* every span(z_1..z_k) is invariant, so for
+    a unit y in it the compression of A to span(y, z_{k+1}) is the
+    triangular [[y*Ay, y*A z_{k+1}], [0, lambda_{k+1}]].  One step of
+    _range_point in that plane moves the quotient from the mean of
+    lambda_1..lambda_k to the mean of lambda_1..lambda_{k+1}.
     """
-    n = A.shape[0]
-    lam, Q = np.linalg.eig(A)
-    scale = max(np.max(np.abs(lam)), 1e-30)
-    k = int(np.argmin(np.abs(lam)))
-    if abs(lam[k]) <= 1e-12 * scale:
-        v = Q[:, k]
-        return v / np.linalg.norm(v)
-    order = np.argsort(-np.abs(lam))
-    for ii in range(n):
-        for jj in range(ii + 1, n):
-            i, j = order[ii], order[jj]
-            dlam = lam[j] - lam[i]
-            if abs(dlam) <= 1e-14 * scale:
-                continue
-            m = -lam[i] / dlam
-            if abs(m.imag) <= 1e-10 and -1e-10 <= m.real <= 1.0 + 1e-10:
-                v = _pair_vector(A, Q[:, i], Q[:, j], 0.0)
-                if v is not None:
-                    return v
-    for ii in range(n):
-        for jj in range(ii + 1, n):
-            for kk in range(jj + 1, n):
-                i, j, k3 = order[ii], order[jj], order[kk]
-                # z = kappa*lam_k on the segment [lam_i, lam_j]
-                M = np.array(
-                    [
-                        [(lam[j] - lam[i]).real, -lam[k3].real],
-                        [(lam[j] - lam[i]).imag, -lam[k3].imag],
-                    ]
-                )
-                rhs = np.array([-lam[i].real, -lam[i].imag])
-                det = np.linalg.det(M)
-                if abs(det) <= 1e-14 * scale**2:
-                    continue
-                m, kappa = np.linalg.solve(M, rhs)
-                if not (-1e-10 <= m <= 1.0 + 1e-10) or kappa >= -1e-12:
-                    continue
-                z = kappa * lam[k3]
-                y = _pair_vector(A, Q[:, i], Q[:, j], z)
-                if y is None:
-                    continue
-                qk = Q[:, k3] / np.linalg.norm(Q[:, k3])
-                w = qk - np.vdot(y, qk) * y
-                nw = np.linalg.norm(w)
-                if nw < 1e-12:
-                    continue
-                w = w / nw
-                V = np.column_stack([y, w])
-                B2 = V.conj().T @ A @ V
-                xi = _range_point(B2, 0.0)
-                v = V @ xi
-                return v / np.linalg.norm(v)
-    raise DegenerateArgumentError("could not locate zero in the numerical range")
+    from scipy.linalg import schur
 
-
-def _first_column_unitary(v):
-    """Unitary whose first column is the unit vector v (Householder)."""
-    n = v.shape[0]
-    v = v / np.linalg.norm(v)
-    theta = np.angle(v[0]) if abs(v[0]) > 0 else 0.0
-    w = v + np.exp(1j * theta) * np.eye(n, dtype=complex)[:, 0]
-    H = np.eye(n, dtype=complex) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real
-    U1 = H.copy()
-    U1[:, 0] *= -np.exp(1j * theta)
-    return U1
+    T, Z = schur(A, output="complex")
+    means = np.cumsum(np.diag(T)) / np.arange(1, A.shape[0] + 1)
+    y = np.zeros(A.shape[0], dtype=complex)
+    y[0] = 1.0
+    for k in range(1, A.shape[0]):
+        xi0, xi1 = _range_point(np.vdot(y, T @ y), np.vdot(y, T[:, k]), T[k, k], means[k])
+        y *= xi0
+        y[k] = xi1
+    v = Z @ y
+    return v / np.linalg.norm(v)
 
 
 def zero_diagonal_unitary(A, tol: float = 1e-8) -> np.ndarray:
     """Unitary U such that U* A U has (numerically) zero diagonal.
 
-    Requires Tr A = 0 up to tol relative to ||A||; the construction
-    finds a unit Rayleigh-zero vector (convexity of the numerical range
-    guarantees one), rotates it into the first coordinate by a
-    Householder reflection, and recurses on the deflated block.
+    Requires Tr A = 0 up to tol relative to ||A||.  A Schur sweep finds a
+    unit v with v* A v = 0 (_rayleigh_zero_vector); a unitary whose first
+    column is v moves it to the first coordinate, and the trace-free
+    block that is left is deflated the same way.  Every trace-zero matrix
+    has such a U.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -537,7 +463,7 @@ def zero_diagonal_unitary(A, tol: float = 1e-8) -> np.ndarray:
     for k in range(n - 1):
         sub = B[k:, k:]
         v = _rayleigh_zero_vector(sub)
-        U1 = _first_column_unitary(v)
+        U1 = np.linalg.qr(np.column_stack([v, np.eye(n - k)]))[0]
         E = np.eye(n, dtype=complex)
         E[k:, k:] = U1
         U = U @ E

@@ -385,6 +385,41 @@ def test_zero_diagonal_repeated_eigenvalues():
     assert np.linalg.norm(U.conj().T @ U - np.eye(3), 2) <= 1e-10
 
 
+def _rotation_120():
+    c, s = math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0)
+    A = np.zeros((3, 3))
+    A[0, 0] = 1.0
+    A[1:, 1:] = [[c, -s], [s, c]]
+    return A
+
+
+def _trace_free_normal(n, seed):
+    A = np.random.default_rng(seed).normal(size=(n, n))
+    return A - np.trace(A) / n * np.eye(n)
+
+
+_JORDAN8 = np.diag(np.ones(7), 1)
+_BASIS8 = np.linalg.qr(np.random.default_rng(8).normal(size=(8, 8)))[0]
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        _rotation_120(),
+        np.diag(np.exp(2j * np.pi * np.arange(3) / 3.0)),
+        _JORDAN8,
+        _BASIS8 @ _JORDAN8 @ _BASIS8.T,
+        _trace_free_normal(20, 20),
+    ],
+    ids=["one-plus-rotation-120", "cube-roots-of-unity", "jordan-8", "jordan-8-rotated", "normal-20"],
+)
+def test_zero_diagonal_every_trace_free_input(A):
+    U = zero_diagonal_unitary(A)
+    nrm = np.linalg.norm(A, 2)
+    assert np.max(np.abs(np.diag(U.conj().T @ A @ U))) <= 1e-12 * nrm
+    assert np.linalg.norm(U.conj().T @ U - np.eye(len(A)), 2) <= 1e-12
+
+
 def test_zero_diagonal_trace_precondition():
     with pytest.raises(DegenerateArgumentError):
         zero_diagonal_unitary(np.diag([1.0, 1.0]))

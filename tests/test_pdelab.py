@@ -324,6 +324,30 @@ def test_pattern_excitation_anti_synchronized_mode():
     assert rep.passed
 
 
+def test_pattern_excitation_rates_every_time():
+    # the coupling (3 + 10 t)(own - other) adds 2(3 + 10 t) to the pattern
+    # mode and nothing to the sum mode, so t = 5 lifts the pattern rate by 100
+    g = Grid1D(16, "periodic")
+
+    def report(times):
+        return pattern_report(
+            (1.0, 0.7),
+            lambda t, own, other: (3.0 + 10.0 * t) * (own - other),
+            g,
+            mode="excitation",
+            witness=np.sin(2.0 * np.pi * g.points),
+            times=times,
+            t_span=0.01,
+        )
+
+    at0, both, at5 = report((0.0,)), report((0.0, 5.0)), report((5.0,))
+    assert abs(both.pattern_mode_rate - at0.pattern_mode_rate - 100.0) <= 1e-6
+    assert abs(both.sum_mode_rate - at0.sum_mode_rate) <= 1e-9
+    # the residuals grow with the coupling, so their largest is at t = 5
+    assert both.stationarity_residuals == at5.stationarity_residuals
+    assert min(at5.stationarity_residuals) > max(at0.stationarity_residuals)
+
+
 def test_pattern_excitation_needs_witness():
     g = Grid1D(16, "periodic")
     with pytest.raises(DegenerateArgumentError):
