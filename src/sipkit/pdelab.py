@@ -4,9 +4,11 @@ Finite-difference Laplacians for dirichlet, neumann, and periodic
 boundaries (all built as -D^T D from the bc-consistent first difference,
 hence symmetric with exact summation by parts), spectral-gap rates in
 closed form (no operator is built or eigensolved), method-of-lines
-reaction-diffusion simulation, pattern suppression and excitation
-reports, Sobolev-type stacked rates, conservation-law rate analysis on
-the mass-zero subspace, and a contraction-backed fixed-point solver for
+reaction-diffusion simulation (the Laplacian is applied as a Kronecker
+sum of its axis operators, so a 2-d grid needs memory O(nx^2 + ny^2),
+not the N x N matrix), pattern suppression and excitation reports,
+Sobolev-type stacked rates, conservation-law rate analysis on the
+mass-zero subspace, and a contraction-backed fixed-point solver for
 time-independent equations.  The pattern and conservation reports rate
 their whole stack of compressed Jacobians in one closed-form call.
 """
@@ -205,9 +207,34 @@ def build_laplacian(grid):
         gx, gy = grid.axes
         Lx = build_laplacian(gx)
         Ly = build_laplacian(gy)
-        return np.kron(Lx, np.eye(gy.n)) + np.kron(np.eye(gx.n), Ly)
+        # kron(Lx, I) + kron(I, Ly) with one N x N array: Ly is added into
+        # the diagonal blocks in place, through a 4-d view
+        L = np.kron(Lx, np.eye(gy.n))
+        idx = np.arange(gx.n)
+        L.reshape(gx.n, gy.n, gx.n, gy.n)[idx, :, idx, :] += Ly
+        return L
     D = _first_difference(grid)
     return -(D.T @ D)
+
+
+def _laplacian_apply(grid):
+    """Map an (m, N) stack of grid states to the Laplacian of each row.
+
+    On a Grid2D the Laplacian kron(Lx, I) + kron(I, Ly) is applied as the
+    Kronecker sum Lx V + V Ly^T of its axis operators, with V a row
+    reshaped to (nx, ny), so memory is O(nx^2 + ny^2), not O(N^2).
+    """
+    if isinstance(grid, Grid2D):
+        Lx, Ly = (build_laplacian(ax) for ax in grid.axes)
+        shape = (-1,) + grid.n
+
+        def apply(U):
+            V = U.reshape(shape)
+            return (Lx @ V + V @ Ly.T).reshape(U.shape)
+
+        return apply
+    L = build_laplacian(grid)
+    return lambda U: U @ L.T
 
 
 @dataclass(frozen=True)
@@ -314,6 +341,8 @@ def rd_simulate(alphas, reaction, grid, u0, t_span, h_t) -> Trajectory:
     State stacks the components: u = (u_1, ..., u_m), du_i/dt =
     alpha_i Lap u_i + reaction_i(t, U).  reaction takes (t, U) with U of
     shape (m, N) and returns the same shape; None means pure diffusion.
+    The Laplacian is applied as the Kronecker sum of its axis operators,
+    never built as an N x N matrix: memory O(nx^2 + ny^2) on a Grid2D.
     The explicit stepper enforces h_t <= h^2 / (2 d max(alpha)).
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
@@ -332,11 +361,11 @@ def rd_simulate(alphas, reaction, grid, u0, t_span, h_t) -> Trajectory:
             f"explicit step {h_t:.3e} exceeds the diffusion stability limit",
             suggested=limit,
         )
-    L = build_laplacian(grid)
+    lap = _laplacian_apply(grid)
 
     def field(t, w):
         U = w.reshape(m, N)
-        dU = alphas[:, None] * (U @ L.T)
+        dU = alphas[:, None] * lap(U)
         if reaction is not None:
             dU = dU + np.asarray(reaction(t, U), dtype=float)
         return dU.ravel()
@@ -507,7 +536,11 @@ def pattern_report(
     pair and the contraction of the synchronized (sum) mode at every
     time in times, and by simulation that the sum decays while the
     pattern persists.
+
+    Both modes run on a Grid1D only.
     """
+    if not isinstance(grid, Grid1D):
+        raise DimensionError(f"pattern reports need a Grid1D, got {type(grid).__name__}")
     if mode == "suppression":
         alpha = float(np.atleast_1d(alphas)[0])
         if sampler is None:

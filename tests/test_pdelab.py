@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +143,25 @@ def test_grid2d_laplacian_kron_structure():
     assert np.array_equal(L2, L2.T)
 
 
+@pytest.mark.parametrize("bc", ("dirichlet", "neumann", "periodic"))
+def test_grid2d_laplacian_is_the_kronecker_sum(bc):
+    g = Grid2D((5, 9), bc, (0.8, 1.3))
+    gx, gy = g.axes
+    want = np.kron(build_laplacian(gx), np.eye(9)) + np.kron(np.eye(5), build_laplacian(gy))
+    assert np.array_equal(build_laplacian(g), want)
+
+
+def test_grid2d_laplacian_holds_one_dense_array():
+    # the sum of two N x N Kronecker products held three N x N arrays at its peak
+    tracemalloc.start()
+    try:
+        L = build_laplacian(Grid2D((32, 32)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * L.nbytes
+
+
 # ---------------------------------------------------------- spectral gap
 
 
@@ -271,6 +295,78 @@ def test_rd_validation():
         rd_simulate(1.0, None, g, np.zeros(7), (0.0, 0.1), 1e-4)
 
 
+@pytest.mark.parametrize("bc", ("dirichlet", "neumann", "periodic"))
+def test_rd_2d_matches_the_dense_laplacian(bc):
+    g = Grid2D((5, 9), bc, (0.8, 1.3))
+    N = g.size
+    alphas = np.array([0.7, 1.1])
+    L = build_laplacian(g)
+
+    def reaction(t, U):
+        return np.vstack([U[0] - U[0] * U[1], 0.5 * U[0] - U[1] ** 3])
+
+    def dense(t, w):
+        U = w.reshape(2, N)
+        return (alphas[:, None] * (U @ L.T) + reaction(t, U)).ravel()
+
+    u0 = 0.5 * np.random.default_rng(12).normal(size=(2, N))
+    h_t = 0.9 * g.h**2 / (4.0 * alphas.max())
+    t_span = (0.0, 30 * h_t)
+    tr = rd_simulate(alphas, reaction, g, u0, t_span, h_t)
+    ref = integrate(VectorField(dense, 2 * N), u0.ravel(), t_span, h_t)
+    assert len(tr.times) == len(ref.times) == 31
+    assert np.max(np.abs(tr.states - ref.states)) <= 1e-13 * np.max(np.abs(ref.states))
+
+
+def test_rd_2d_builds_no_grid_operator(monkeypatch):
+    # a dense 200 x 200 grid Laplacian would take 12.8 GB
+    import sipkit.pdelab as pdelab
+
+    build = pdelab.build_laplacian
+
+    def axes_only(grid):
+        if isinstance(grid, Grid2D):
+            raise AssertionError("rd_simulate must not build the N x N Laplacian")
+        return build(grid)
+
+    monkeypatch.setattr(pdelab, "build_laplacian", axes_only)
+    g = Grid2D((200, 200))
+    gx, gy = g.axes
+    # the product of the axes' first sine modes is an exact grid eigenvector
+    u0 = np.outer(np.sin(np.pi * gx.points), np.sin(np.pi * gy.points)).ravel()
+    lam = sum(-(4.0 / ax.h**2) * math.sin(math.pi / (2 * (ax.n + 1))) ** 2 for ax in g.axes)
+    h_t = 0.9 * g.h**2 / 4.0
+    tr = rd_simulate(1.0, None, g, u0, (0.0, 2 * h_t), h_t)
+    z = h_t * lam
+    amp = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) ** 2  # two RK4 steps
+    assert len(tr.times) == 3
+    assert np.max(np.abs(tr.states[-1] - amp * u0)) <= 1e-12
+
+
+def test_rd_2d_loads_no_scipy_sparse():
+    import sipkit
+
+    import_path = [str(Path(sipkit.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        import_path.append(os.environ["PYTHONPATH"])
+    run = (
+        "import sys, numpy as np; from sipkit.pdelab import Grid2D, rd_simulate; "
+        "rd_simulate((1.0, 2.0), None, Grid2D((8, 6)), np.ones((2, 48)), (0.0, 1e-3), 1e-4); "
+        "assert not [m for m in sys.modules if m.startswith('scipy.sparse')]"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", run],
+        capture_output=True,
+        text=True,
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": os.pathsep.join(import_path),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # --------------------------------------------------------------- patterns
 
 
@@ -358,6 +454,21 @@ def test_pattern_excitation_needs_witness():
         )
     with pytest.raises(DegenerateArgumentError):
         pattern_report(1.0, lambda t, u: -u, g, mode="bloom")
+
+
+@pytest.mark.parametrize(
+    "alphas, f, kwargs",
+    [
+        (1.0, lambda t, u: -u, {"mode": "suppression"}),
+        ((1.0, 1.0), lambda t, a, b: a - b, {"mode": "excitation", "witness": np.ones(16)}),
+    ],
+    ids=("suppression", "excitation"),
+)
+def test_pattern_report_refuses_a_2d_grid(alphas, f, kwargs):
+    g = Grid2D((4, 4), "periodic")
+    samp = DomainSampler(Ball(np.zeros(16), 1.0), count=4, seed=0)
+    with pytest.raises(DimensionError, match="Grid1D"):
+        pattern_report(alphas, f, g, samp, **kwargs)
 
 
 # ----------------------------------------------------------------- sobolev
