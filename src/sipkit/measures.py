@@ -253,12 +253,18 @@ def _fd_jacobian(g, u):
     return np.array(cols).T.copy()  # C order, as the columns of a filled matrix
 
 
-def _checked_value(u, out):
-    """out as an array, after checking that it has u's shape and is finite;
-    for a stack the error's point is the first row with a non-finite value."""
+def _shaped(u, out):
+    """out as an array, after checking that it has u's shape."""
     out = np.asarray(out)
     if out.shape != u.shape:
         raise EvaluationError(f"field returned shape {out.shape} for input shape {u.shape}", point=u)
+    return out
+
+
+def _checked_value(u, out):
+    """out as an array, after checking that it has u's shape and is finite;
+    for a stack the error's point is the first row with a non-finite value."""
+    out = _shaped(u, out)
     if not np.isfinite(out).all():
         point = u[np.argmin(np.isfinite(out).all(axis=1))] if u.ndim == 2 else u
         raise EvaluationError("field returned non-finite values", point=point)
@@ -275,7 +281,9 @@ class VectorField:
     Calling the field on a state u of shape (n,) evaluates fn(t, u).  An
     (m, n) stack of states returns the (m, n) stack of values: an affine
     field takes it in one product U @ matrix.T (+ offset); any other field
-    is evaluated row by row, so fn only ever sees single states.
+    is evaluated row by row, so fn only ever sees single states.  Each
+    row's shape is checked as it comes back, and the stack is checked for
+    finite values once, naming the first row that has a non-finite one.
     """
 
     fn: Callable
@@ -308,7 +316,7 @@ class VectorField:
         if u.ndim != 2:
             return _checked_value(u, self.fn(float(t), u))
         if self.matrix is None:
-            return np.stack([_checked_value(row, self.fn(float(t), row)) for row in u])
+            return _checked_value(u, np.stack([_shaped(row, self.fn(float(t), row)) for row in u]))
         out = u @ self.matrix.T
         return _checked_value(u, out if self.offset is None else out + self.offset)
 
@@ -480,8 +488,11 @@ def lognorm_closed(A, p) -> RateEstimate:
 
 
 def operator_norm(A, p, samples=200, seed=0):
-    """Operator p-norm; exact for p in {1, 2, inf}, sampled otherwise."""
-    A = _as_square(A)
+    """Operator p-norm of an (m, n) matrix from l^p(n) to l^p(m); exact for
+    p in {1, 2, inf}, otherwise the sampled ratio, a lower bound."""
+    A = np.asarray(A)
+    if A.ndim != 2:
+        raise DimensionError(f"expected a matrix, got shape {A.shape}")
     if p == 1.0:
         return float(np.abs(A).sum(axis=0).max()), EXACT
     if p == math.inf:
@@ -619,8 +630,11 @@ def integral_rate(
     sip(u - v, f(t,u) - f(t,v)) / ||u - v||^2.
 
     Exact for affine fields; otherwise a sampled lower bound over the
-    sampler's region, refined by ascent from the best starting pairs; f
-    is called once on each side's stack of states per sweep or step.
+    sampler's region, refined by ascent from the best starting pairs.  Per
+    sweep or step, f is called once per distinct state of each side's
+    stack: a gradient row moves one side of its pair only, so the other
+    side repeats the pair's state.  An affine field (sampled only under a
+    stacked spec) takes each side in one product.
     """
     if f.matrix is not None:
         est = _affine_exact(f, spec, seed=sampler.seed if sampler else 0)
@@ -632,8 +646,23 @@ def integral_rate(
     n = sampler.dim
     proj = sampler.region.project
 
+    def field(t, U):
+        # f on the distinct rows, told apart by their bytes (so 0.0 and -0.0
+        # differ), in order of first appearance, so an error names the same
+        # state as a row-by-row call would
+        if f.matrix is not None:
+            return f(t, U)
+        ids, first, inverse = {}, [], []
+        for i, row in enumerate(U):
+            key = row.tobytes()
+            if key not in ids:
+                ids[key] = len(first)
+                first.append(i)
+            inverse.append(ids[key])
+        return f(t, U[first])[inverse]
+
     def quot(t, X):
-        return _quotient_rows(X[:, :n] - X[:, n:], f(t, X[:, :n]) - f(t, X[:, n:]), spec, 1e-12)
+        return _quotient_rows(X[:, :n] - X[:, n:], field(t, X[:, :n]) - field(t, X[:, n:]), spec, 1e-12)
 
     def project(X):
         return np.hstack([proj(X[:, :n]), proj(X[:, n:])])

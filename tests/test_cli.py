@@ -318,7 +318,7 @@ def test_console_module_entry(tmp_path):
         env={
             "PATH": "/usr/bin:/bin",
             "PYTHONPATH": os.pathsep.join(import_path),
-            "SIPKIT_THREADS": "1",
+            "PYTHONDONTWRITEBYTECODE": "1",
         },
     )
     assert proc.returncode == 0
@@ -335,7 +335,7 @@ def test_import_leaves_scipy_linalg_unloaded():
         [sys.executable, "-c", "import sipkit, sipkit.cli, sys; assert 'scipy.linalg' not in sys.modules"],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(import_path)},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(import_path), "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -458,6 +458,6 @@ def test_import_leaves_scipy_sparse_unloaded():
         [sys.executable, "-c", f"import sipkit, sipkit.cli, sys; {check}"],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(import_path)},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(import_path), "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr

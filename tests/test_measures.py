@@ -10,7 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from sipkit.errors import ConditioningError, DegenerateArgumentError, UnsupportedNormError
+from sipkit.errors import (
+    ConditioningError,
+    DegenerateArgumentError,
+    DimensionError,
+    EvaluationError,
+    UnsupportedNormError,
+)
 from sipkit.measures import (
     Ball,
     Box,
@@ -125,6 +131,22 @@ def test_operator_norm_exact_and_sampled():
     # sampled lower bound, sandwiched by the exact 2 and interpolation
     assert val <= np.linalg.norm(A, 1) ** (1 / 3) * np.linalg.norm(A, math.inf) ** (0) * 6
     assert val >= 3.0  # at least the largest column image it saw
+
+
+def test_operator_norm_rectangular_block():
+    A = np.random.default_rng(31).normal(size=(3, 4))
+    for p in P_CLOSED:
+        val, kind = operator_norm(A, p)
+        assert kind != "sampled-lower-bound"
+        assert val == pytest.approx(np.linalg.norm(A, p), rel=1e-12)
+        assert operator_norm(A.T, p)[0] == pytest.approx(np.linalg.norm(A.T, p), rel=1e-12)
+    val, kind = operator_norm(A, 3.0, seed=2)
+    assert kind == "sampled-lower-bound"
+    # a lower bound: at least every column's image, at most Riesz-Thorin
+    assert val >= (np.abs(A) ** 3).sum(axis=0).max() ** (1 / 3)
+    assert val <= np.linalg.norm(A, 1) ** (1 / 3) * np.linalg.norm(A, math.inf) ** (2 / 3)
+    with pytest.raises(DimensionError):
+        operator_norm(np.ones(3), 1.0)
 
 
 def test_operator_rate_agrees_with_closed_forms():
@@ -277,6 +299,49 @@ def test_weighted_rate_varying_pinned():
     samp = DomainSampler(Box((-1.0, -1.0), (1.0, 1.0)), count=20, seed=7)
     est = weighted_rate(f, fam, NormSpec(p=2.0), mode="varying", sampler=samp)
     _assert_pinned(est, 20, 50, -0.9212277899052711)
+
+
+def test_integral_rate_weighted_two_times_pinned():
+    W = _PINNED_W
+    f = VectorField(fn=lambda t, u: -u + (1.0 + 0.5 * t) * (W @ np.tanh(u)), dim=3)
+    spec = NormSpec(p=1.5, weight=np.array([[2.0, 0.3, 0.0], [0.0, 1.0, -0.4], [0.2, 0.0, 1.5]]))
+    sampler = DomainSampler(_BOX3, count=12, seed=8)
+    est = integral_rate(f, sampler, spec, times=(0.0, 1.0), ascent_starts=3)
+    # recorded with every row of a stack evaluated, repeats included
+    assert est.kind == "sampled-lower-bound"
+    assert (est.value, est.samples, est.ascent_iters) == (1.1954970943289533, 24, 150)
+
+
+def test_integral_rate_evaluates_each_state_once_per_stack():
+    W = _PINNED_W
+    stacks = []
+
+    def fn(t, u):
+        stacks[-1].append(u.tobytes())
+        return -u + W @ np.tanh(u)
+
+    class Recorded(VectorField):
+        def __call__(self, t, u):
+            stacks.append([])
+            return super().__call__(t, u)
+
+    est = integral_rate(Recorded(fn=fn, dim=3), DomainSampler(_BOX3, count=30, seed=5), NormSpec(p=3.0))
+    _assert_pinned(est, 30, 250, 0.9190120473872431)
+    assert all(len(set(states)) == len(states) for states in stacks)
+    # 60 sweep states and 10 at the 5 ascent starts; in each of the 50
+    # lockstep steps a gradient row moves one half of its pair, so each
+    # half-stack's 5 x 6 rows hold 5 x 4 distinct states, and the 5
+    # candidates hold 10
+    assert sum(map(len, stacks)) == 60 + 10 + 50 * (40 + 10)
+
+
+def test_stacked_field_wrong_shape_names_the_row():
+    U = np.arange(12.0).reshape(4, 3)
+    for k in range(4):
+        f = VectorField(fn=lambda t, u, k=k: u[:2] if u[0] == U[k, 0] else -u, dim=3)
+        with pytest.raises(EvaluationError, match=r"shape \(2,\) for input shape \(3,\)") as err:
+            f(0.0, U)
+        assert np.array_equal(err.value.point, U[k])
 
 
 def test_sampled_sup_never_ascends_from_nan_or_minus_inf():
