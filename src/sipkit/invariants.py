@@ -324,7 +324,7 @@ def _constraint_rate(f, man: ManifoldSpec, sampler: DomainSampler, spec: NormSpe
         return out
 
     best, used, vals = _state_sup(rates_at, sampler, times, 2)
-    finite = np.count_nonzero(np.isfinite(vals))
+    finite = int(np.count_nonzero(np.isfinite(vals)))
     if not finite:
         raise DegenerateProjectionError("no constraint-visible probe directions found")
     return RateEstimate(best, SAMPLED, samples=finite * len(ys), ascent_iters=used)

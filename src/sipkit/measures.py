@@ -631,10 +631,11 @@ def integral_rate(
 
     Exact for affine fields; otherwise a sampled lower bound over the
     sampler's region, refined by ascent from the best starting pairs.  Per
-    sweep or step, f is called once per distinct state of each side's
-    stack: a gradient row moves one side of its pair only, so the other
-    side repeats the pair's state.  An affine field (sampled only under a
-    stacked spec) takes each side in one product.
+    sweep or step, f is called once per run of equal consecutive states of
+    each side's stack: a gradient row moves one side of its pair only, so
+    the other side repeats the pair's state down one run of rows.  An
+    affine field (sampled only under a stacked spec) takes each side in
+    one product.
     """
     if f.matrix is not None:
         est = _affine_exact(f, spec, seed=sampler.seed if sampler else 0)
@@ -647,19 +648,15 @@ def integral_rate(
     proj = sampler.region.project
 
     def field(t, U):
-        # f on the distinct rows, told apart by their bytes (so 0.0 and -0.0
-        # differ), in order of first appearance, so an error names the same
-        # state as a row-by-row call would
+        # f once per run of equal consecutive rows, compared by their bits
+        # (so 0.0 and -0.0 differ); the first row of a run in error is the
+        # state a row-by-row call would name
         if f.matrix is not None:
             return f(t, U)
-        ids, first, inverse = {}, [], []
-        for i, row in enumerate(U):
-            key = row.tobytes()
-            if key not in ids:
-                ids[key] = len(first)
-                first.append(i)
-            inverse.append(ids[key])
-        return f(t, U[first])[inverse]
+        bits = U.view(np.uint64)
+        new = np.ones(len(U), dtype=bool)
+        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        return f(t, U[new])[np.cumsum(new) - 1]
 
     def quot(t, X):
         return _quotient_rows(X[:, :n] - X[:, n:], field(t, X[:, :n]) - field(t, X[:, n:]), spec, 1e-12)

@@ -2,12 +2,13 @@
 
 Every rate computed by this package is a supremum of quotients built from
 a norm and the semi-inner product compatible with it.  This module owns
-those primitives: weighted and stacked l^p norms, their right/left
-semi-inner products in closed form, row-wise forms of both for stacks of
-probes (norm_rows, sip_rows, and the fused quotient kernel _quotient_rows
-that every sampled supremum runs on), a slow difference-quotient
-reference for the same quantity, and one-sided derivative estimates for
-scalar signals.
+those primitives: weighted and stacked l^p norms and their right/left
+semi-inner products, with one closed-form kernel for each that works on
+stacks of rows.  The single-vector forms (norm, sip, complex_sip) are its
+one-row case, the row-wise forms (norm_rows, sip_rows, and the fused
+quotient kernel _quotient_rows that every sampled supremum runs on) its
+stacked case.  Beside them sit a slow difference-quotient reference for
+the same quantity and one-sided derivative estimates for scalar signals.
 """
 
 from __future__ import annotations
@@ -103,124 +104,12 @@ class NormSpec:
         return 0 if self.stack is None else len(self.stack)
 
 
-def _transform(v: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """Map v into the coordinates the norm actually measures."""
-    if spec.weight is not None:
-        if spec.weight.shape[1] != v.shape[0]:
-            raise DimensionError(
-                f"weight acts on dimension {spec.weight.shape[1]}, vector has {v.shape[0]}"
-            )
-        return spec.weight @ v
-    if spec.stack:
-        parts = [v]
-        for op in spec.stack:
-            if op.shape[1] != v.shape[0]:
-                raise DimensionError("stack operator does not match vector dimension")
-            parts.append(op @ v)
-        return np.concatenate(parts)
-    return v
-
-
-def _raw_norm(x: np.ndarray, p: float) -> float:
-    a = np.abs(x)
-    if p == math.inf:
-        return float(a.max())
-    if p == 1.0:
-        return float(a.sum())
-    if p == 2.0:
-        return float(np.sqrt((a * a).sum()))
-    return float((a**p).sum() ** (1.0 / p))
-
-
-def _raw_norm_rows(X: np.ndarray, p: float) -> np.ndarray:
-    """_raw_norm of every row of X."""
-    return _abs_norm_rows(np.abs(X), p)
-
-
-def _abs_norm_rows(a: np.ndarray, p: float) -> np.ndarray:
-    """_raw_norm_rows of X, given a = |X|."""
-    if p == math.inf:
-        return a.max(axis=1)
-    if p == 1.0:
-        return a.sum(axis=1)
-    if p == 2.0:
-        return np.sqrt((a * a).sum(axis=1))
-    return (a**p).sum(axis=1) ** (1.0 / p)
-
-
-def norm(v, spec: NormSpec = NormSpec()) -> float:
-    """Weighted (or stacked) l^p norm of v under spec."""
-    v = as_vector(v, dtype=complex if spec.field_kind == "complex" else None)
-    return _raw_norm(_transform(v, spec), spec.p)
-
-
-def _sip_raw(u: np.ndarray, v: np.ndarray, p: float, side: str) -> float:
-    """One-sided semi-inner product of untransformed coordinate vectors.
-
-    Right (side='plus') and left (side='minus') derivatives of the norm,
-    scaled so that _sip_raw(u, u) equals the squared norm.  For 1 < p < inf
-    the two sides agree and the closed form below is the classical one; the
-    p=1 and p=inf branches implement the one-sided limits directly.
-    """
-    nu = _raw_norm(u, p)
-    if nu == 0.0:
-        raise DegenerateArgumentError("semi-inner product undefined at u = 0")
-    if p == 2.0:
-        return float(np.real(np.vdot(u, v)))
-    if p == 1.0:
-        # Coordinates at zero contribute |v_i| from the right, -|v_i| from
-        # the left; everywhere else the modulus is differentiable.
-        zero = np.abs(u) <= ZERO_COORD_TOL
-        live = ~zero
-        s = 0.0
-        if np.any(live):
-            s += float(np.sum(np.real(np.conj(u[live]) * v[live]) / np.abs(u[live])))
-        kink = float(np.sum(np.abs(v[zero])))
-        s += kink if side == "plus" else -kink
-        return nu * s
-    if p == math.inf:
-        amax = np.abs(u).max()
-        idx = np.abs(u) >= amax * (1.0 - ARGMAX_REL_TOL)
-        slopes = np.real(np.conj(u[idx]) * v[idx]) / np.abs(u[idx])
-        pick = slopes.max() if side == "plus" else slopes.min()
-        return nu * float(pick)
-    # 1 < p < inf: Gateaux differentiable, both sides coincide.
-    a = np.abs(u)
-    live = a > 0.0
-    terms = np.zeros(u.shape[0])
-    terms[live] = a[live] ** (p - 2.0) * np.real(np.conj(u[live]) * v[live])
-    return float(nu ** (2.0 - p) * terms.sum())
-
-
-def sip(u, v, spec: NormSpec = NormSpec(), side: str = "plus") -> float:
-    """Semi-inner product (u, v) compatible with norm(.., spec).
-
-    Returns the one-sided derivative ||u|| * d/dh ||u + h v|| at h -> 0
-    from the requested side, in closed form.  Positive-homogeneous and
-    subadditive in v; sip(u, u) recovers norm(u)^2.
-    """
-    if side not in ("plus", "minus"):
-        raise DegenerateArgumentError(f"side must be 'plus' or 'minus', got {side!r}")
-    dtype = complex if spec.field_kind == "complex" else None
-    u = as_vector(u, dtype=dtype)
-    v = as_vector(v, dtype=dtype)
-    if u.shape != v.shape:
-        raise DimensionError(f"shape mismatch {u.shape} vs {v.shape}")
-    return _sip_raw(_transform(u, spec), _transform(v, spec), spec.p, side)
-
-
-def _as_rows(entries, dtype=None) -> np.ndarray:
-    """Validate and return a 2-d stack of nonempty rows with finite entries."""
-    V = np.asarray(entries, dtype=dtype)
-    if V.ndim != 2 or V.shape[1] == 0:
-        raise DimensionError(f"expected a 2-d stack of nonempty rows, got shape {V.shape}")
-    if not np.isfinite(V).all():
-        raise DegenerateArgumentError("vector has non-finite entries")
-    return V
+def _dtype(spec: NormSpec):
+    return complex if spec.field_kind == "complex" else None
 
 
 def _transform_rows(V: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """_transform applied to every row of V."""
+    """Map every row of V into the coordinates the norm actually measures."""
     if spec.weight is not None:
         if spec.weight.shape[1] != V.shape[1]:
             raise DimensionError(
@@ -237,9 +126,41 @@ def _transform_rows(V: np.ndarray, spec: NormSpec) -> np.ndarray:
     return V
 
 
+def _raw_norm_rows(X: np.ndarray, p: float) -> np.ndarray:
+    """l^p norm of every row of X."""
+    return _abs_norm_rows(np.abs(X), p)
+
+
+def _abs_norm_rows(a: np.ndarray, p: float) -> np.ndarray:
+    """_raw_norm_rows of X, given a = |X|."""
+    if p == math.inf:
+        return a.max(axis=1)
+    if p == 1.0:
+        return a.sum(axis=1)
+    if p == 2.0:
+        return np.sqrt((a * a).sum(axis=1))
+    return (a**p).sum(axis=1) ** (1.0 / p)
+
+
+def _powers(a: np.ndarray, p: float) -> np.ndarray:
+    """|u_i|^(p-2), with zero coordinates contributing nothing (below p=2
+    their power is infinite)."""
+    return a ** (p - 2.0) if p > 2.0 else np.power(a, p - 2.0, out=np.zeros(a.shape), where=a > 0.0)
+
+
 def _sip_rows_raw(U: np.ndarray, W: np.ndarray, p: float, a: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """_sip_raw(u, w, p, 'plus') for every row pair of U and W, given
-    a = |U| and its row norms nu, none of them zero."""
+    """Right semi-inner product of every row pair of transformed U and W,
+    given a = |U| and its row norms nu, none of them zero.
+
+    The right derivative ||u|| d/dh ||u + h w|| at h -> 0+, scaled so
+    that the form of (u, u) is the squared norm; the left form is minus
+    the right form of (u, -w).  For 1 < p < inf the norm is Gateaux
+    differentiable, both sides agree and the closed form is the classical
+    one.  At p=1 a coordinate of u at zero contributes |w_i| from the
+    right (and -|w_i| from the left); everywhere else the modulus is
+    differentiable.  At p=inf the right form takes the largest slope over
+    the coordinates that attain the maximum (the left form the smallest).
+    """
     re = np.real((U.conj() if np.iscomplexobj(U) else U) * W)
     if p == 2.0:
         return re.sum(axis=1)
@@ -251,25 +172,63 @@ def _sip_rows_raw(U: np.ndarray, W: np.ndarray, p: float, a: np.ndarray, nu: np.
         top = a >= a.max(axis=1, keepdims=True) * (1.0 - ARGMAX_REL_TOL)
         slopes = np.divide(re, a, out=np.full(a.shape, -math.inf), where=top)
         return nu * slopes.max(axis=1)
-    # zero coordinates contribute nothing; below p=2 their power is infinite
-    powers = a ** (p - 2.0) if p > 2.0 else np.power(a, p - 2.0, out=np.zeros(a.shape), where=a > 0.0)
-    return nu ** (2.0 - p) * (powers * re).sum(axis=1)
+    return nu ** (2.0 - p) * (_powers(a, p) * re).sum(axis=1)
 
 
-def _transformed_pair(U, W, spec: NormSpec):
-    """U and W validated as matching stacks of rows and transformed."""
-    dtype = complex if spec.field_kind == "complex" else None
-    U = _as_rows(U, dtype=dtype)
-    W = _as_rows(W, dtype=dtype)
+def _sip_plus_rows(TU: np.ndarray, TW: np.ndarray, p: float) -> np.ndarray:
+    """_sip_rows_raw of transformed rows, raising where a row of TU is zero."""
+    a = np.abs(TU)
+    nu = _abs_norm_rows(a, p)
+    if (nu == 0.0).any():
+        raise DegenerateArgumentError("semi-inner product undefined at u = 0")
+    return _sip_rows_raw(TU, TW, p, a, nu)
+
+
+def _as_rows(entries, dtype=None) -> np.ndarray:
+    """Validate and return a 2-d stack of nonempty rows with finite entries."""
+    V = np.asarray(entries, dtype=dtype)
+    if V.ndim != 2 or V.shape[1] == 0:
+        raise DimensionError(f"expected a 2-d stack of nonempty rows, got shape {V.shape}")
+    if not np.isfinite(V).all():
+        raise DegenerateArgumentError("vector has non-finite entries")
+    return V
+
+
+def _transformed_pair(U, W, spec: NormSpec, as_=_as_rows):
+    """U and W validated by as_ (as stacks of rows, or as_vector for one
+    vector each) and of matching shape, transformed as stacks of rows."""
+    U = as_(U, dtype=_dtype(spec))
+    W = as_(W, dtype=_dtype(spec))
     if U.shape != W.shape:
         raise DimensionError(f"shape mismatch {U.shape} vs {W.shape}")
-    return _transform_rows(U, spec), _transform_rows(W, spec)
+    return _transform_rows(np.atleast_2d(U), spec), _transform_rows(np.atleast_2d(W), spec)
+
+
+def norm(v, spec: NormSpec = NormSpec()) -> float:
+    """Weighted (or stacked) l^p norm of v under spec."""
+    v = as_vector(v, dtype=_dtype(spec))
+    return float(_raw_norm_rows(_transform_rows(v[None], spec), spec.p)[0])
 
 
 def norm_rows(V, spec: NormSpec = NormSpec()) -> np.ndarray:
     """Row-wise norm: entry i equals norm(V[i], spec)."""
-    V = _as_rows(V, dtype=complex if spec.field_kind == "complex" else None)
+    V = _as_rows(V, dtype=_dtype(spec))
     return _raw_norm_rows(_transform_rows(V, spec), spec.p)
+
+
+def sip(u, v, spec: NormSpec = NormSpec(), side: str = "plus") -> float:
+    """Semi-inner product (u, v) compatible with norm(.., spec).
+
+    Returns the one-sided derivative ||u|| * d/dh ||u + h v|| at h -> 0
+    from the requested side, in closed form.  Positive-homogeneous and
+    subadditive in v; sip(u, u) recovers norm(u)^2.
+    """
+    if side not in ("plus", "minus"):
+        raise DegenerateArgumentError(f"side must be 'plus' or 'minus', got {side!r}")
+    TU, TV = _transformed_pair(u, v, spec, as_=as_vector)
+    if side == "plus":
+        return float(_sip_plus_rows(TU, TV, spec.p)[0])
+    return -float(_sip_plus_rows(TU, -TV, spec.p)[0])
 
 
 def sip_rows(U, W, spec: NormSpec = NormSpec()) -> np.ndarray:
@@ -279,12 +238,7 @@ def sip_rows(U, W, spec: NormSpec = NormSpec()) -> np.ndarray:
     to every row at once: a zero row of U, a non-finite entry or a shape
     mismatch raises as sip would.
     """
-    TU, TW = _transformed_pair(U, W, spec)
-    a = np.abs(TU)
-    nu = _abs_norm_rows(a, spec.p)
-    if (nu == 0.0).any():
-        raise DegenerateArgumentError("semi-inner product undefined at u = 0")
-    return _sip_rows_raw(TU, TW, spec.p, a, nu)
+    return _sip_plus_rows(*_transformed_pair(U, W, spec), spec.p)
 
 
 def _quotient_rows(U, W, spec: NormSpec, floor: float) -> np.ndarray:
@@ -316,20 +270,12 @@ def complex_sip(u, v, spec: NormSpec) -> complex:
         raise UnsupportedNormError("complex_sip requires a complex-field spec")
     if spec.p in (1.0, math.inf):
         raise UnsupportedNormError("complex semi-inner product needs 1 < p < inf")
-    u = as_vector(u, dtype=complex)
-    v = as_vector(v, dtype=complex)
-    if u.shape != v.shape:
-        raise DimensionError(f"shape mismatch {u.shape} vs {v.shape}")
-    tu, tv = _transform(u, spec), _transform(v, spec)
-    p = spec.p
-    nu = _raw_norm(tu, p)
+    TU, TV = _transformed_pair(u, v, spec, as_=as_vector)
+    a = np.abs(TU)
+    nu = _abs_norm_rows(a, spec.p)[0]
     if nu == 0.0:
         raise DegenerateArgumentError("semi-inner product undefined at u = 0")
-    a = np.abs(tu)
-    live = a > 0.0
-    terms = np.zeros(tu.shape[0], dtype=complex)
-    terms[live] = a[live] ** (p - 2.0) * np.conj(tu[live]) * tv[live]
-    return complex(nu ** (2.0 - p) * terms.sum())
+    return complex(nu ** (2.0 - spec.p) * (_powers(a, spec.p) * TU.conj() * TV).sum())
 
 
 def _ladder_limit(q):
@@ -365,9 +311,8 @@ def gateaux_sip(u, v, spec: NormSpec = NormSpec(), side: str = "plus") -> float:
     Evaluates ||u|| (||u + h v|| - ||u||)/h over a shrinking ladder of h
     and extrapolates.  Slow; used to cross-check the closed forms.
     """
-    dtype = complex if spec.field_kind == "complex" else None
-    u = as_vector(u, dtype=dtype)
-    v = as_vector(v, dtype=dtype)
+    u = as_vector(u, dtype=_dtype(spec))
+    v = as_vector(v, dtype=_dtype(spec))
     nu = norm(u, spec)
     if nu == 0.0:
         raise DegenerateArgumentError("semi-inner product undefined at u = 0")
@@ -384,8 +329,9 @@ def dini_plus(signal, t: float) -> float:
     """Upper right Dini derivative estimate of a scalar signal at t.
 
     ``signal`` is either a callable s(t) or a pair (times, values) of
-    sampled data.  Callables go through the extrapolated ladder; sampled
-    data uses the first available forward quotient.  Divergent quotients
+    sampled data with increasing times.  Callables go through the
+    extrapolated ladder; sampled data uses the forward quotient from the
+    last sample at or before t to the next one.  Divergent quotients
     return +/-inf rather than raising.
     """
     if callable(signal):
@@ -400,11 +346,10 @@ def dini_plus(signal, t: float) -> float:
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
         raise DimensionError("sampled signal needs matching 1-d times and values")
-    ahead = np.where(times > t + 1e-15)[0]
-    if ahead.size == 0:
+    ahead = times > t + 1e-15
+    if not ahead.any():
         raise DegenerateArgumentError(f"no samples to the right of t = {t}")
-    here = int(np.argmin(np.abs(times - t)))
-    j = int(ahead[0])
-    if here == j:
-        raise DegenerateArgumentError("degenerate sample spacing at t")
-    return float((values[j] - values[here]) / (times[j] - times[here]))
+    j = int(ahead.argmax())
+    if j == 0:
+        raise DegenerateArgumentError(f"no sample lies at or before t = {t}")
+    return float((values[j] - values[j - 1]) / (times[j] - times[j - 1]))

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -329,6 +331,23 @@ def test_limit_cycle_certificate_hopf():
     assert rep.periodicity_residual <= 1e-10
     assert abs(rep.min_speed - 3.0) < 1e-10
     assert rep.passed
+
+
+def test_constraint_rates_carry_plain_ints():
+    # a sampled constraint rate must serialise like every other rate
+    man = circle_manifold()
+    amb = DomainSampler(Sphere(np.zeros(2), 1.0), count=30, seed=3)
+    seeds = DomainSampler(Sphere(np.zeros(2), 1.3), count=12, seed=2)
+    theta = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+    loop = np.c_[np.cos(theta), np.sin(theta)]
+    reps = [
+        manifold_certificate(hopf_field(), man, seeds, amb),
+        limit_cycle_certificate(hopf_field(), man, period=2 * np.pi / 3.0, loop_points=loop, ambient_sampler=amb),
+    ]
+    for rep in reps:
+        assert type(rep.rate.samples) is int
+        assert type(rep.rate.ascent_iters) is int
+        json.dumps(dataclasses.asdict(rep.rate))
 
 
 def test_limit_cycle_speed_floor_fails_gradient_field():

@@ -214,6 +214,26 @@ def test_row_kernels_match_scalar_forms():
         np.testing.assert_allclose(sip_rows(U, W, spec_of(p)), want_sip, rtol=1e-12, atol=0.0)
 
 
+def test_row_kernel_matches_gateaux_reference():
+    # the closed-form kernel behind sip, sip(.., "minus") and sip_rows,
+    # against the difference-quotient reference, on both sides
+    rng = np.random.default_rng(29)
+    for p in P_GRID:
+        cases = [(spec, False) for spec in _row_specs(p)]
+        cases.append((NormSpec(p=p, field_kind="complex"), True))
+        for spec, complex_field in cases:
+            U, W = _row_probes(rng, complex_field)
+            if p == 1.5:
+                # next to a zero coordinate the ladder converges like h^(1/2)
+                keep = (U != 0.0).all(axis=1)
+                U, W = U[keep], W[keep]
+            want_plus = [gateaux_sip(u, w, spec) for u, w in zip(U, W)]
+            want_minus = [gateaux_sip(u, w, spec, "minus") for u, w in zip(U, W)]
+            got_minus = [sip(u, w, spec, "minus") for u, w in zip(U, W)]
+            np.testing.assert_allclose(sip_rows(U, W, spec), want_plus, rtol=1e-6, atol=1e-6)
+            np.testing.assert_allclose(got_minus, want_minus, rtol=1e-6, atol=1e-6)
+
+
 def test_row_kernels_one_sided_cases():
     # p=1: a zero coordinate of u contributes |w_i| from the right
     assert sip_rows([[1.0, 0.0]], [[0.0, -2.0]], spec_of(1.0))[0] == pytest.approx(2.0)
@@ -306,6 +326,17 @@ def test_dini_plus_sampled_series():
     assert got == pytest.approx(-2.0 * math.exp(-1.0), abs=2e-2)
     with pytest.raises(DegenerateArgumentError):
         dini_plus((ts, vals), 1.0)
+
+
+def test_dini_plus_sampled_between_samples():
+    ts = np.linspace(0.0, 1.0, 101)
+    vals = np.exp(-2.0 * ts)
+    # the base is the last sample at or before t, not the nearest one
+    want = (vals[51] - vals[50]) / (ts[51] - ts[50])
+    assert dini_plus((ts, vals), 0.504) == want
+    assert dini_plus((ts, vals), 0.506) == want
+    with pytest.raises(DegenerateArgumentError, match="no sample lies at or before"):
+        dini_plus((ts, vals), -0.2)
 
 
 def test_dini_matches_sip_identity_along_norm():
