@@ -2,23 +2,24 @@
 
 Two routes to the same number are kept deliberately separate.  The closed
 forms (lognorm_closed, operator_rate) evaluate known formulas; the limit
-route (lognorm_limit) extrapolates (||I + hA|| - 1)/h directly.  Sampled
-suprema are certified lower bounds, flagged as such in the returned
-RateEstimate.  Every one of them runs on a single engine: the objective
-maps a stack of probes (one per row) to their values, the probes are
-swept in one call, and projected forward-difference ascents refine the
-best few.  The ascents run in lockstep (_ascent): each problem keeps its
-own point, step and stop rule, and one iteration makes one call on the
-gradient stacks x + diag(h) of every problem still running and one on
-their candidates.  _sampled_sup is a single supremum over times and
-starts; _operator_rates rates a (B, n, n) stack of matrices at once, with
-stacked closed forms for p in {1, 2, inf} and otherwise one sweep and one
-lockstep ascent for all B, and operator_rate is its B = 1 case, so the
-inner log norms of differential_rate and of varying weighted_rate cost
-one batched call per sweep and per ascent step.  Every matrix rate that
-a certificate takes is one stacked call of _operator_rates or of its
-closed forms, _closed_lognorms.  The quotients come from the fused row
-kernel spaces._quotient_rows.
+route (lognorm_limit), the reference they are tested against, extrapolates
+(||I + hA|| - 1)/h directly.  Sampled suprema are certified lower bounds,
+flagged as such in the returned RateEstimate.  Every one of them runs on
+a single engine: the objective maps a stack of probes (one per row) to
+their values, the probes are swept in one call, and projected
+forward-difference ascents refine the best few.  The ascents run in
+lockstep (_ascent): each problem keeps its own point, step and stop rule,
+and one iteration makes one call on the gradient stacks x + diag(h) of
+every problem still running and one on their candidates.  _sampled_sup is
+a single supremum over times and starts; _operator_rates rates a
+(B, n, n) stack of matrices at once, with stacked closed forms for p in
+{1, 2, inf} and otherwise one sweep and one lockstep ascent for all B,
+and operator_rate is its B = 1 case, so the inner log norms of
+differential_rate and of varying weighted_rate cost one batched call per
+sweep and per ascent step.  Every matrix rate, an affine field's integral
+and differential rate among them, is one stacked call of _operator_rates
+or of its closed forms, _closed_lognorms.  The quotients come from the
+fused row kernel spaces._quotient_rows.
 """
 
 from __future__ import annotations
@@ -275,8 +276,8 @@ def _checked_value(u, out):
 class VectorField:
     """Time-varying field f(t, u) with an optional analytic Jacobian.
 
-    ``matrix`` (and optional ``offset``) mark the field as affine, which
-    rate functionals exploit to return exact values.
+    ``matrix`` (and optional ``offset``) mark the field as affine: the
+    rate functionals then rate the matrix itself, through operator_rate.
 
     Calling the field on a state u of shape (n,) evaluates fn(t, u).  An
     (m, n) stack of states returns the (m, n) stack of values: an affine
@@ -479,12 +480,12 @@ def lognorm_closed(A, p) -> RateEstimate:
     """Closed-form log norm (matrix measure) for p in {1, 2, inf}.
 
     p=1 runs over columns, p=inf over rows, p=2 is the largest eigenvalue
-    of the symmetric (Hermitian) part.
+    of the symmetric (Hermitian) part; the B=1 case of _operator_rates.
     """
     A = _as_square(A)
     if p not in (1.0, 2.0, math.inf):
-        raise UnsupportedNormError(f"no closed-form log norm for p={p}; use lognorm_limit")
-    return RateEstimate(float(_closed_lognorms(A[None], p)[0]), EIGEN if p == 2.0 else EXACT)
+        raise UnsupportedNormError(f"no closed-form log norm for p={p}; use operator_rate")
+    return _operator_rates(A[None], NormSpec(p=p))[0]
 
 
 def operator_norm(A, p, samples=200, seed=0):
@@ -606,17 +607,14 @@ def _inner_rates(mats, spec, seed):
     return np.array([est.value for est in _operator_rates(np.array(mats), spec, samples=64, seed=seed)])
 
 
-def _affine_exact(f: VectorField, spec: NormSpec, seed=0):
-    try:
-        B, p = _weighted_conjugate(_as_square(f.matrix), spec)
-    except UnsupportedNormError:
-        return None
-    if p in (1.0, 2.0, math.inf):
-        est = lognorm_closed(B, p)
-        note = "affine field" if spec.weight is None else "affine field, weight-conjugated"
-        return RateEstimate(est.value, est.kind, note=note)
-    est = lognorm_limit(f.matrix, spec, seed=seed)
-    return RateEstimate(est.value, est.kind, samples=est.samples, note="affine field, h-ladder")
+def _affine_rate(f: VectorField, sampler: DomainSampler | None, spec: NormSpec):
+    """An affine field's rate, operator_rate of its matrix under any spec;
+    None for any other field, which needs a sampler."""
+    if f.matrix is not None:
+        return _operator_rates(f.matrix[None], spec, seed=sampler.seed if sampler else 0)[0]
+    if sampler is None:
+        raise DegenerateArgumentError("sampled rate needs a DomainSampler")
+    return None
 
 
 def integral_rate(
@@ -629,20 +627,16 @@ def integral_rate(
     """One-sided Lipschitz rate: sup over pairs of
     sip(u - v, f(t,u) - f(t,v)) / ||u - v||^2.
 
-    Exact for affine fields; otherwise a sampled lower bound over the
-    sampler's region, refined by ascent from the best starting pairs.  Per
-    sweep or step, f is called once per run of equal consecutive states of
-    each side's stack: a gradient row moves one side of its pair only, so
-    the other side repeats the pair's state down one run of rows.  An
-    affine field (sampled only under a stacked spec) takes each side in
-    one product.
+    An affine field's rate is operator_rate(f.matrix, spec,
+    seed=sampler.seed); any other field gets a sampled lower bound over
+    the sampler's region, refined by ascent from the best starting pairs.
+    Per sweep or step, f is called once per run of equal consecutive
+    states of each side's stack: a gradient row moves one side of its
+    pair only, so the other side repeats the pair's state down one run.
     """
-    if f.matrix is not None:
-        est = _affine_exact(f, spec, seed=sampler.seed if sampler else 0)
-        if est is not None:
-            return est
-    if sampler is None:
-        raise DegenerateArgumentError("sampled rate needs a DomainSampler")
+    est = _affine_rate(f, sampler, spec)
+    if est is not None:
+        return est
     a, b = sampler.pairs()
     n = sampler.dim
     proj = sampler.region.project
@@ -651,8 +645,6 @@ def integral_rate(
         # f once per run of equal consecutive rows, compared by their bits
         # (so 0.0 and -0.0 differ); the first row of a run in error is the
         # state a row-by-row call would name
-        if f.matrix is not None:
-            return f(t, U)
         bits = U.view(np.uint64)
         new = np.ones(len(U), dtype=bool)
         new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
@@ -680,15 +672,12 @@ def differential_rate(
     """sup over states of the log norm of the Jacobian.
 
     The inner log norm is exact for p in {1, 2, inf} (weighted included);
-    the outer sup over states is sampled with ascent unless the field is
-    affine, in which case the single exact value is returned.
+    the outer sup over states is sampled with ascent.  An affine field's
+    rate is operator_rate(f.matrix, spec, seed=sampler.seed).
     """
-    if f.matrix is not None:
-        est = _affine_exact(f, spec, seed=sampler.seed if sampler else 0)
-        if est is not None:
-            return est
-    if sampler is None:
-        raise DegenerateArgumentError("sampled rate needs a DomainSampler")
+    est = _affine_rate(f, sampler, spec)
+    if est is not None:
+        return est
 
     def rates_at(t, X):
         return _inner_rates([f.jacobian(t, u) for u in X], spec, sampler.seed)
@@ -751,8 +740,8 @@ def weighted_rate(
 ) -> RateEstimate:
     """Contraction rate of f measured through the weight.
 
-    mode='constant' conjugates by a fixed matrix (exact for affine fields
-    and closed-form exponents).  mode='varying' evaluates the generator
+    mode='constant' conjugates by a fixed matrix: integral_rate in the
+    weighted norm (for an affine field, operator_rate of its matrix).  mode='varying' evaluates the generator
     d(Theta)/dt + Theta Df at sampled states and returns the sup of the
     log norm of (generator) Theta^{-1} in the base norm.
     """

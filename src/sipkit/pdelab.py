@@ -16,7 +16,7 @@ their whole stack of compressed Jacobians in one closed-form call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .measures import (
     _fd,
     differential_rate,
     integral_rate,
-    operator_rate,
 )
 from .spaces import NormSpec, norm
 
@@ -568,9 +567,10 @@ def sobolev_rate(
     """Rate of F in the stacked difference norm of order k.
 
     Linear F with p=2 reduces to a generalized symmetric eigenproblem
-    with the stacked Gram matrix; otherwise the integral rate is sampled
-    in the stacked norm.  mass_zero restricts to mean-zero states
-    (exact compression on the linear path, demeaned sampling otherwise).
+    with the stacked Gram matrix; otherwise the integral rate is taken
+    in the stacked norm.  mass_zero restricts to mean-zero states (exact
+    compression on the linear path, demeaned pairs otherwise, with an
+    affine F's matrix dropped so that the pairs keep the restriction).
     """
     spec = sob.norm_spec(grid)
     if F.matrix is not None and sob.p == 2.0:
@@ -592,6 +592,7 @@ def sobolev_rate(
         raise DegenerateArgumentError("nonlinear stacked rates need a sampler")
     if mass_zero:
         sampler = DomainSampler(DemeanedRegion(sampler.region), sampler.count, sampler.seed)
+        F = replace(F, matrix=None, offset=None)
     return integral_rate(F, sampler, spec, times)
 
 
@@ -702,7 +703,9 @@ def fixed_point_solve(
 ):
     """Solve F(u) = 0 by implicit pseudo-time stepping of du/dt = F(u).
 
-    The contraction rate c of F in spec's norm is measured first; a
+    The contraction rate c of F in spec's norm is measured first, by
+    differential_rate on the sampler (default: 12 points of the unit
+    ball, seed 0), so operator_rate of an affine F's matrix; a
     nonnegative rate refuses the certificate (force=True steps anyway).
     Each pseudo-time step is backward Euler, v = u + h F(v), solved by
     Newton.  When c < 0 every such step shrinks the residual ||F|| by
@@ -722,16 +725,11 @@ def fixed_point_solve(
     exact for the slowest mode of a linear field.
     """
     N = F.dim
-    if F.matrix is not None:
-        est = operator_rate(F.matrix, spec)
-    else:
-        if sampler is None:
-            sampler = DomainSampler(Ball(np.zeros(N), 1.0), count=12, seed=0)
-        est = differential_rate(F, sampler, spec, times=(0.0,), ascent_starts=1)
-        est = RateEstimate(
-            est.value, est.kind, est.samples, est.ascent_iters,
-            note="sampled lower bound; contraction not globally certified",
-        )
+    if sampler is None:
+        sampler = DomainSampler(Ball(np.zeros(N), 1.0), count=12, seed=0)
+    est = differential_rate(F, sampler, spec, times=(0.0,), ascent_starts=1)
+    if F.matrix is None:
+        est = replace(est, note="sampled lower bound; contraction not globally certified")
     if est.value >= 0.0 and not force:
         raise CertificateRefusedError(
             f"measured rate {est.value:.3e} is not negative; pass force=True to integrate anyway"

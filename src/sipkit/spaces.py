@@ -194,14 +194,27 @@ def _as_rows(entries, dtype=None) -> np.ndarray:
     return V
 
 
-def _transformed_pair(U, W, spec: NormSpec, as_=_as_rows):
+def _checked_pair(U, W, spec: NormSpec, as_=_as_rows):
     """U and W validated by as_ (as stacks of rows, or as_vector for one
-    vector each) and of matching shape, transformed as stacks of rows."""
+    vector each) and of matching shape."""
     U = as_(U, dtype=_dtype(spec))
     W = as_(W, dtype=_dtype(spec))
     if U.shape != W.shape:
         raise DimensionError(f"shape mismatch {U.shape} vs {W.shape}")
+    return U, W
+
+
+def _transformed_pair(U, W, spec: NormSpec, as_=_as_rows):
+    """_checked_pair of U and W, transformed as stacks of rows."""
+    U, W = _checked_pair(U, W, spec, as_)
     return _transform_rows(np.atleast_2d(U), spec), _transform_rows(np.atleast_2d(W), spec)
+
+
+def _side_sign(side: str) -> float:
+    """+1 for side 'plus' and -1 for 'minus'; any other side is refused."""
+    if side not in ("plus", "minus"):
+        raise DegenerateArgumentError(f"side must be 'plus' or 'minus', got {side!r}")
+    return 1.0 if side == "plus" else -1.0
 
 
 def norm(v, spec: NormSpec = NormSpec()) -> float:
@@ -223,12 +236,9 @@ def sip(u, v, spec: NormSpec = NormSpec(), side: str = "plus") -> float:
     from the requested side, in closed form.  Positive-homogeneous and
     subadditive in v; sip(u, u) recovers norm(u)^2.
     """
-    if side not in ("plus", "minus"):
-        raise DegenerateArgumentError(f"side must be 'plus' or 'minus', got {side!r}")
+    sgn = _side_sign(side)
     TU, TV = _transformed_pair(u, v, spec, as_=as_vector)
-    if side == "plus":
-        return float(_sip_plus_rows(TU, TV, spec.p)[0])
-    return -float(_sip_plus_rows(TU, -TV, spec.p)[0])
+    return sgn * float(_sip_plus_rows(TU, sgn * TV, spec.p)[0])
 
 
 def sip_rows(U, W, spec: NormSpec = NormSpec()) -> np.ndarray:
@@ -309,14 +319,14 @@ def gateaux_sip(u, v, spec: NormSpec = NormSpec(), side: str = "plus") -> float:
     """Difference-quotient reference for sip().
 
     Evaluates ||u|| (||u + h v|| - ||u||)/h over a shrinking ladder of h
-    and extrapolates.  Slow; used to cross-check the closed forms.
+    and extrapolates.  Slow; used to cross-check the closed forms.  Checks
+    side, shapes and entries as sip does.
     """
-    u = as_vector(u, dtype=_dtype(spec))
-    v = as_vector(v, dtype=_dtype(spec))
+    sgn = _side_sign(side)
+    u, v = _checked_pair(u, v, spec, as_vector)
     nu = norm(u, spec)
     if nu == 0.0:
         raise DegenerateArgumentError("semi-inner product undefined at u = 0")
-    sgn = 1.0 if side == "plus" else -1.0
 
     def quot(h):
         hh = sgn * h
@@ -329,10 +339,10 @@ def dini_plus(signal, t: float) -> float:
     """Upper right Dini derivative estimate of a scalar signal at t.
 
     ``signal`` is either a callable s(t) or a pair (times, values) of
-    sampled data with increasing times.  Callables go through the
-    extrapolated ladder; sampled data uses the forward quotient from the
-    last sample at or before t to the next one.  Divergent quotients
-    return +/-inf rather than raising.
+    sampled data with strictly increasing times (others are refused).
+    Callables go through the extrapolated ladder; sampled data uses the
+    forward quotient from the last sample at or before t to the next one.
+    Divergent quotients return +/-inf rather than raising.
     """
     if callable(signal):
         s0 = float(signal(t))
@@ -346,6 +356,8 @@ def dini_plus(signal, t: float) -> float:
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
         raise DimensionError("sampled signal needs matching 1-d times and values")
+    if not (np.diff(times) > 0.0).all():
+        raise DegenerateArgumentError("sampled times must be strictly increasing")
     ahead = times > t + 1e-15
     if not ahead.any():
         raise DegenerateArgumentError(f"no samples to the right of t = {t}")

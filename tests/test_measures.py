@@ -188,6 +188,41 @@ def test_integral_rate_affine_is_exact():
         assert est.value == pytest.approx(lognorm_closed(A, p).value, abs=1e-14)
 
 
+def _one_route_specs(n):
+    """Plain and weighted specs at every p of the grid, and stacked specs
+    (first differences on a periodic grid) at p in {2, 3}."""
+    from sipkit.pdelab import Grid1D, SobolevSpec
+
+    W = np.eye(n) + 0.3 * np.random.default_rng(4).normal(size=(n, n))
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        yield NormSpec(p=p)
+        yield NormSpec(p=p, weight=W)
+    for p in (2.0, 3.0):
+        yield SobolevSpec(k=1, p=p).norm_spec(Grid1D(n, "periodic"))
+
+
+def test_affine_rates_are_operator_rate():
+    from sipkit.pdelab import Grid1D, fixed_point_solve
+
+    n = 5
+    A = np.random.default_rng(11).normal(size=(n, n)) - np.eye(n)
+    f = VectorField.linear(A, b=np.ones(n))
+    samp = DomainSampler(Ball(np.zeros(n), 1.0), count=20, seed=3)
+    for spec in _one_route_specs(n):
+        want = operator_rate(A, spec, seed=samp.seed)
+        got = [integral_rate(f, samp, spec), differential_rate(f, samp, spec)]
+        if spec.weight is not None:
+            got.append(weighted_rate(f, spec.weight, NormSpec(p=spec.p), sampler=samp))
+        # F(0) = 0 without the offset, so the solve stops at its precheck
+        _, rep = fixed_point_solve(VectorField.linear(A), Grid1D(n), spec, sampler=samp, force=True)
+        got.append(rep.rate_estimate)
+        for est in got:
+            assert est == want, spec  # value, kind, samples, ascent_iters and note
+    # the default precheck sampler has seed 0, operator_rate's default
+    _, rep = fixed_point_solve(VectorField.linear(A), Grid1D(n), NormSpec(p=3.0), force=True)
+    assert rep.rate_estimate == operator_rate(A, NormSpec(p=3.0))
+
+
 def test_integral_rate_cubic_saturates_at_zero():
     f = VectorField.autonomous(lambda u: -(u**3), 1)
     samp = DomainSampler(Box((-1.0,), (1.0,)), count=200, seed=1)

@@ -493,6 +493,19 @@ def test_sobolev_laplacian_mass_zero_hits_gap():
     assert r.value <= -4.0 * math.pi**2 + 0.05
 
 
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_sobolev_linear_mass_zero_excludes_the_constant_mode(p):
+    g = Grid1D(16, "periodic")
+    L = build_laplacian(g)
+    sampler = DomainSampler(Ball(np.zeros(16), 1.0), count=20, seed=0)
+    sob = SobolevSpec(k=0, p=p)
+    r = sobolev_rate(VectorField.linear(L), g, sob, sampler, mass_zero=True)
+    # L's constant mode has rate 0; the demeaned pairs never see it
+    assert r.value < 0.0
+    plain = VectorField(lambda t, u: L @ u, 16)
+    assert r == sobolev_rate(plain, g, sob, sampler, mass_zero=True)
+
+
 def test_sobolev_shift_property():
     g = Grid1D(48, "periodic")
     L = build_laplacian(g)

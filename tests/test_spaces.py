@@ -108,6 +108,18 @@ def test_sip_shape_mismatch_rejected():
         sip([1.0, 2.0], [1.0], spec_of(2.0))
 
 
+def test_gateaux_sip_checks_like_sip():
+    for fn in (sip, gateaux_sip):
+        with pytest.raises(DimensionError):
+            fn([1.0, 2.0, 3.0], [1.0])
+        with pytest.raises(DimensionError):
+            fn([1.0, 2.0], [[1.0, 0.5]])
+        with pytest.raises(DegenerateArgumentError, match="side must be"):
+            fn([1.0, 2.0], [1.0, 0.5], side="left")
+        with pytest.raises(DegenerateArgumentError):
+            fn([1.0, math.nan], [1.0, 0.5])
+
+
 def test_sip_matches_ladder_reference_randomized():
     rng = np.random.default_rng(42)
     for p in P_GRID:
@@ -337,6 +349,14 @@ def test_dini_plus_sampled_between_samples():
     assert dini_plus((ts, vals), 0.506) == want
     with pytest.raises(DegenerateArgumentError, match="no sample lies at or before"):
         dini_plus((ts, vals), -0.2)
+
+
+def test_dini_plus_refuses_unordered_times():
+    with pytest.raises(DegenerateArgumentError, match="strictly increasing"):
+        dini_plus(([0.0, 2.0, 1.0], [0.0, 4.0, 1.0]), 1.5)
+    for ts in ([0.0, 1.0, 1.0, 2.0], [0.0, math.nan, 2.0, 3.0]):
+        with pytest.raises(DegenerateArgumentError, match="strictly increasing"):
+            dini_plus((ts, [0.0, 1.0, 2.0, 3.0]), 1.5)
 
 
 def test_dini_matches_sip_identity_along_norm():
