@@ -13,7 +13,7 @@ are sampled suprema and inherit the certified-lower-bound reading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,15 +26,13 @@ from .errors import (
 )
 from .flows import Trajectory, overshoot_fit
 from .measures import (
-    EIGEN,
-    EXACT,
     SAMPLED,
     DomainSampler,
     RateEstimate,
     VectorField,
-    _closed_lognorms,
     _fd,
     _fd_jacobian,
+    _operator_rates,
     _state_sup,
 )
 from .spaces import NormSpec, _quotient_rows, norm, norm_rows, sip_rows
@@ -200,19 +198,20 @@ def _coordinate_support(Q):
 
 
 def _projected_rate_linear(A, Q, spec: NormSpec):
-    """Exact compression rate for linear fields where a closed form exists."""
+    """Exact compression rate for linear fields where a closed form exists:
+    operator_rate of the compressed matrix."""
     if spec.weight is not None or spec.stack:
         return None
     if spec.p == 2.0:
         # orthonormal range of Q, with scipy.linalg.orth's rank rule
         U, sv, _ = np.linalg.svd(Q)
         V = U[:, sv > sv[0] * max(Q.shape) * np.finfo(float).eps]
-        val = float(_closed_lognorms((V.T @ Q @ A @ V)[None], 2.0)[0])
-        return RateEstimate(val, EIGEN, note="compressed to complement range")
+        est = _operator_rates((V.T @ Q @ A @ V)[None], NormSpec())[0]
+        return replace(est, note="compressed to complement range")
     idx = _coordinate_support(Q)
     if idx is not None and spec.p in (1.0, math.inf):
-        val = float(_closed_lognorms(A[np.ix_(idx, idx)][None], spec.p)[0])
-        return RateEstimate(val, EXACT, note="coordinate compression")
+        est = _operator_rates(A[np.ix_(idx, idx)][None], NormSpec(p=spec.p))[0]
+        return replace(est, note="coordinate compression")
     return None
 
 
@@ -287,14 +286,23 @@ def newton_project(man: ManifoldSpec, u0, iters: int = 15, tol: float = 1e-12):
     return z
 
 
-def _check_regular(man: ManifoldSpec, z):
-    J = man.jacobian(z)
-    smin = float(np.linalg.svd(J, compute_uv=False)[-1])
-    if smin <= RANK_TOL:
-        raise RegularityError(
-            f"constraint jacobian is rank-deficient (sigma_min = {smin:.3e})", point=z
-        )
-    return smin
+def _zero_set(f, man: ManifoldSpec, seeds, spec: NormSpec, times):
+    """Newton-project the seeds onto the zero set, evaluate Dphi once per
+    zero point z and check its full row rank; returns (zero points, least
+    singular value of Dphi, tangency sup ||Dphi(z) f(t, z)||, the values
+    f(t, z) as one list per time)."""
+    zs = [newton_project(man, u) for u in seeds]
+    smin, jacs = math.inf, []
+    for z in zs:
+        J = man.jacobian(z)
+        s = float(np.linalg.svd(J, compute_uv=False)[-1])
+        if s <= RANK_TOL:
+            raise RegularityError(f"constraint jacobian is rank-deficient (sigma_min = {s:.3e})", point=z)
+        smin = min(smin, s)
+        jacs.append(J)
+    values = [[f(t, z) for z in zs] for t in times]
+    tangency = max([0.0, *(norm(J @ v, spec) for row in values for J, v in zip(jacs, row))])
+    return zs, smin, tangency, values
 
 
 def _constraint_rate(f, man: ManifoldSpec, sampler: DomainSampler, spec: NormSpec, times):
@@ -346,14 +354,7 @@ def manifold_certificate(
     row rank of Dphi); tangency sup ||Dphi(z) f(t,z)|| must stay within
     tol and the constraint-weighted rate must be negative.
     """
-    zs = [newton_project(man, u) for u in seed_sampler.points()]
-    smin = math.inf
-    for z in zs:
-        smin = min(smin, _check_regular(man, z))
-    tangency = 0.0
-    for t in times:
-        for z in zs:
-            tangency = max(tangency, norm(man.jacobian(z) @ f(t, z), spec))
+    zs, smin, tangency, _ = _zero_set(f, man, seed_sampler.points(), spec, times)
     rate = _constraint_rate(f, man, ambient_sampler, spec, times)
     passed = bool(tangency <= tol and rate.value < 0.0)
     return ManifoldReport(
@@ -426,18 +427,10 @@ def limit_cycle_certificate(
     if period <= 0:
         raise DegenerateArgumentError("period must be positive")
     loop = np.atleast_2d(np.asarray(loop_points, dtype=float))
-    zs = [newton_project(man, z) for z in loop]
-    for z in zs:
-        _check_regular(man, z)
-    tangency = 0.0
-    periodicity = 0.0
-    speed = math.inf
-    for t in times:
-        for z in zs:
-            v = g(t, z)
-            tangency = max(tangency, norm(man.jacobian(z) @ v, spec))
-            periodicity = max(periodicity, float(np.linalg.norm(v - g(t + period, z))))
-            speed = min(speed, float(np.linalg.norm(v)))
+    zs, _, tangency, values = _zero_set(g, man, loop, spec, times)
+    gaps = [np.linalg.norm(v - g(t + period, z)) for t, row in zip(times, values) for z, v in zip(zs, row)]
+    periodicity = max([0.0, *map(float, gaps)])
+    speed = min([math.inf, *(float(np.linalg.norm(v)) for row in values for v in row)])
     rate = _constraint_rate(g, man, ambient_sampler, spec, times)
     passed = bool(
         tangency <= tol and rate.value < 0.0 and periodicity <= tol and speed > speed_floor

@@ -4,22 +4,19 @@ Two routes to the same number are kept deliberately separate.  The closed
 forms (lognorm_closed, operator_rate) evaluate known formulas; the limit
 route (lognorm_limit), the reference they are tested against, extrapolates
 (||I + hA|| - 1)/h directly.  Sampled suprema are certified lower bounds,
-flagged as such in the returned RateEstimate.  Every one of them runs on
-a single engine: the objective maps a stack of probes (one per row) to
-their values, the probes are swept in one call, and projected
-forward-difference ascents refine the best few.  The ascents run in
-lockstep (_ascent): each problem keeps its own point, step and stop rule,
-and one iteration makes one call on the gradient stacks x + diag(h) of
-every problem still running and one on their candidates.  _sampled_sup is
-a single supremum over times and starts; _operator_rates rates a
-(B, n, n) stack of matrices at once, with stacked closed forms for p in
-{1, 2, inf} and otherwise one sweep and one lockstep ascent for all B,
-and operator_rate is its B = 1 case, so the inner log norms of
-differential_rate and of varying weighted_rate cost one batched call per
-sweep and per ascent step.  Every matrix rate, an affine field's integral
-and differential rate among them, is one stacked call of _operator_rates
-or of its closed forms, _closed_lognorms.  The quotients come from the
-fused row kernel spaces._quotient_rows.
+flagged as such in the returned RateEstimate.  They all run on one engine:
+the probes are swept in one call of a stacked objective, and projected
+forward-difference ascents refine the best few in lockstep (_ascent), one
+call per iteration on the gradient stacks x + diag(h) of every problem
+still running and one on their candidates.  _sampled_sup is a single
+supremum over times and starts.  _operator_rates rates a (B, n, n) stack
+of matrices at once, by stacked closed forms for p in {1, 2, inf} and
+otherwise by one sweep and one lockstep ascent for all B; operator_rate is
+its B = 1 case.  The closed forms take every p=2 norm: a stacked l2 norm
+||Su||_2 is the weighted norm ||Ru||_2 of the triangular factor of S = QR.
+Every exact matrix RateEstimate (an affine field's rates, pdelab's Sobolev
+rates, the invariant compressions) comes from _operator_rates.  The
+quotients come from the fused row kernel spaces._quotient_rows.
 """
 
 from __future__ import annotations
@@ -435,8 +432,10 @@ def _sampled_sup(objective_rows, starts, step, k, iters=50, project=None, times=
     return float(best[0]), int(used[0]), vals
 
 
-def _region_step(region):
-    return 0.05 * max(region.scale, 1e-6)
+def _region_ascent(region, k):
+    """(step, starts) of the ascents on a region: 5% of its scale from the
+    k best sweeps; none on a region of scale 0, such as a point list."""
+    return 0.05 * max(region.scale, 1e-6), k if region.scale > 0 else 0
 
 
 def _state_sup(rates_at, sampler, times, k):
@@ -445,8 +444,7 @@ def _state_sup(rates_at, sampler, times, k):
     return _sampled_sup(
         rates_at,
         sampler.points(),
-        _region_step(sampler.region),
-        k,
+        *_region_ascent(sampler.region, k),
         iters=25,
         project=sampler.region.project,
         times=times,
@@ -518,12 +516,16 @@ def operator_norm(A, p, samples=200, seed=0):
 
 def _weighted_conjugate(A, spec: NormSpec):
     """Return (B, base_p) with the weight folded in: ||.||_w of A equals
-    the plain p-norm picture of B.  A square A or a stack of them."""
+    the plain p-norm picture of B.  A square A or a stack of them.  At p=2
+    a stack S = [I; D_1; ...; D_k] is the weight R of S = QR."""
     if spec.stack:
-        raise UnsupportedNormError("stacked norms have no square conjugation; use sampled rates")
-    if spec.weight is None:
+        if spec.p != 2.0:
+            raise UnsupportedNormError("stacked norms have no square conjugation off p=2; use sampled rates")
+        W = np.linalg.qr(np.vstack((np.eye(A.shape[-1]),) + tuple(spec.stack)), mode="r")
+    elif spec.weight is None:
         return A, spec.p
-    W = spec.weight
+    else:
+        W = spec.weight
     return W @ A @ np.linalg.inv(W), spec.p
 
 
@@ -560,17 +562,17 @@ def lognorm_limit(A, spec: NormSpec = NormSpec(), samples=200, seed=0) -> RateEs
 def _operator_rates(As, spec: NormSpec = NormSpec(), samples=200, seed=0) -> list:
     """operator_rate of every matrix of a (B, n, n) stack, as a list.
 
-    Closed forms for p in {1, 2, inf}, plain or weight-conjugated, run
-    stacked.  Otherwise every matrix is swept over the same seeded probes
-    in one kernel call, and the best probe of each is refined by one
-    lockstep ascent.
+    Closed forms run stacked for every p=2 spec (plain, weighted or
+    stacked) and for plain or weighted specs at p in {1, inf}.  Otherwise
+    every matrix is swept over the same seeded probes in one kernel call,
+    and the best probe of each is refined by one lockstep ascent.
     """
     As = np.asarray(As)
     if As.ndim != 3 or As.shape[1] != As.shape[2]:
         raise DimensionError(f"expected a stack of square matrices, got shape {As.shape}")
-    if not spec.stack and spec.p in (1.0, 2.0, math.inf):
+    if spec.p == 2.0 or (not spec.stack and spec.p in (1.0, math.inf)):
         kind = EIGEN if spec.p == 2.0 else EXACT
-        note = "" if spec.weight is None else "weight-conjugated"
+        note = "stack-conjugated" if spec.stack else "weight-conjugated" if spec.weight is not None else ""
         values = _closed_lognorms(_weighted_conjugate(As, spec)[0], spec.p)
         return [RateEstimate(float(v), kind, note=note) for v in values]
     # sampled numerical range in the (possibly weighted/stacked) norm
@@ -657,7 +659,7 @@ def integral_rate(
         return np.hstack([proj(X[:, :n]), proj(X[:, n:])])
 
     best, used, vals = _sampled_sup(
-        quot, np.hstack([a, b]), _region_step(sampler.region), ascent_starts, project=project, times=times
+        quot, np.hstack([a, b]), *_region_ascent(sampler.region, ascent_starts), project=project, times=times
     )
     return RateEstimate(best, SAMPLED, samples=len(vals), ascent_iters=used)
 

@@ -10,7 +10,9 @@ not the N x N matrix), pattern suppression and excitation reports,
 Sobolev-type stacked rates, conservation-law rate analysis on the
 mass-zero subspace, and a contraction-backed fixed-point solver for
 time-independent equations.  The pattern and conservation reports rate
-their whole stack of compressed Jacobians in one closed-form call.
+their whole stack of compressed Jacobians in one closed-form call.  Every
+exact rate but poincare_rate's grid spectra comes from measures (exact
+Sobolev rates of affine fields at p=2 among them).
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from .measures import (
     VectorField,
     _closed_lognorms,
     _fd,
+    _operator_rates,
     differential_rate,
     integral_rate,
+    operator_rate,
 )
 from .spaces import NormSpec, norm
 
@@ -564,33 +568,24 @@ def sobolev_rate(
     times=(0.0,),
     mass_zero: bool = False,
 ) -> RateEstimate:
-    """Rate of F in the stacked difference norm of order k.
+    """Rate of F in the stacked difference norm of order k: integral_rate
+    in that norm, so operator_rate of an affine F's matrix (exact at p=2).
 
-    Linear F with p=2 reduces to a generalized symmetric eigenproblem
-    with the stacked Gram matrix; otherwise the integral rate is taken
-    in the stacked norm.  mass_zero restricts to mean-zero states (exact
-    compression on the linear path, demeaned pairs otherwise, with an
-    affine F's matrix dropped so that the pairs keep the restriction).
+    mass_zero restricts to mean-zero states: for an affine F at p=2, by
+    operator_rate of B = (SV)^+ S A V, S = [I; D_1; ...; D_k], under the
+    stack (D_j V) in the coordinates w = V^T u of mass_zero_basis V;
+    otherwise by demeaned pairs, an affine F's matrix dropped.
     """
     spec = sob.norm_spec(grid)
-    if F.matrix is not None and sob.p == 2.0:
-        A = F.matrix
-        N = A.shape[0]
-        S = [np.eye(N)] + [np.asarray(D) for D in (spec.stack or ())]
-        G = sum(D.T @ D for D in S)
-        M = sum(D.T @ D @ A for D in S)
-        H = (M + M.T) / 2.0
-        if mass_zero:
-            V = mass_zero_basis(N)
-            H = V.T @ H @ V
-            G = V.T @ G @ V
-        from scipy.linalg import eigh
-
-        val = float(eigh(H, G, eigvals_only=True)[-1])
-        return RateEstimate(val, EIGEN, note=f"stacked order {sob.k}")
-    if sampler is None:
-        raise DegenerateArgumentError("nonlinear stacked rates need a sampler")
+    if mass_zero and F.matrix is not None and sob.p == 2.0:
+        V = mass_zero_basis(F.dim)
+        stack = spec.stack or ()
+        S = np.vstack((np.eye(F.dim),) + stack)
+        B = np.linalg.lstsq(S @ V, S @ F.matrix @ V, rcond=None)[0]
+        return operator_rate(B, NormSpec(stack=tuple(D @ V for D in stack)))
     if mass_zero:
+        if sampler is None:
+            raise DegenerateArgumentError("mass-zero sampled rates need a DomainSampler")
         sampler = DomainSampler(DemeanedRegion(sampler.region), sampler.count, sampler.seed)
         F = replace(F, matrix=None, offset=None)
     return integral_rate(F, sampler, spec, times)
@@ -635,11 +630,11 @@ def conservation_rate(
         fd = [_fd(lambda v: np.asarray(flux(v)), u, 1.0, 1e-6) for u in demean(sampler.points())]
         Gs = np.array([np.diag(d) for d in fd])
     M = V.T @ (-Dc @ Gs) @ V
-    rates = _closed_lognorms(M, 2.0)
+    rates = _operator_rates(M)
     skews = np.linalg.norm((M + M.transpose(0, 2, 1)) / 2.0, 2, axis=(1, 2))
     if flux_prime_operator is not None:
-        return ConservationReport(RateEstimate(float(rates[0]), EIGEN, samples=1), float(skews[0]))
-    best = float(rates.max(initial=-math.inf))
+        return ConservationReport(replace(rates[0], samples=1), float(skews[0]))
+    best = max((est.value for est in rates), default=-math.inf)
     est = RateEstimate(best, SAMPLED, samples=len(rates), note="eigen-exact per sampled state")
     return ConservationReport(est, float(skews.max(initial=0.0)))
 

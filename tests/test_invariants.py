@@ -413,3 +413,26 @@ def test_set_distance_decay_rejects_negative_oracle():
     tr = integrate(f, np.array([1.0]), (0.0, 1.0), 1e-2)
     with pytest.raises(DegenerateArgumentError):
         set_distance_decay(tr, lambda s: -1.0)
+
+
+def test_zero_set_jacobian_is_evaluated_once_per_zero_point():
+    # the loop lies on the circle, so Newton projection never differentiates
+    # there; only the regularity check and the tangency see Dphi at the loop
+    from sipkit.measures import Points
+
+    loop = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    on_loop = {z.tobytes() for z in loop}
+    calls = []
+
+    def dphi(u):
+        calls.append(u.tobytes() in on_loop)
+        return np.array([[2.0 * u[0], 2.0 * u[1]]])
+
+    man = ManifoldSpec(phi=lambda u: np.array([u @ u - 1.0]), dim=2, codim=1, dphi=dphi)
+    amb = DomainSampler(Box((-1.5, -1.5), (1.5, 1.5)), count=8, seed=3)
+    times = (0.0, 0.5, 1.0)
+    limit_cycle_certificate(hopf_field(), man, 2 * np.pi / 3.0, loop, amb, times=times)
+    assert sum(calls) == len(loop)
+    calls.clear()
+    manifold_certificate(hopf_field(), man, DomainSampler(Points(loop), count=4), amb, times=times)
+    assert sum(calls) == len(loop)

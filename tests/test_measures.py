@@ -627,3 +627,18 @@ def test_sampled_sup_ascends_each_start_at_its_own_time():
     assert used == sum(int(its[0]) for _, its in solo)
     assert best == max(vals.max(), *(float(v[0]) for v, _ in solo))
     assert best == pytest.approx(1.0, abs=1e-9)
+
+
+def test_explicit_point_lists_get_no_ascent():
+    # a Points region has scale 0: the rates are the sweep maxima over the list
+    f = VectorField.autonomous(lambda u: -(u**3) + np.sin(u[::-1]), 2)
+    pts = np.random.default_rng(0).normal(size=(6, 2))
+    sampler = DomainSampler(Points(pts), count=6, seed=0)
+    a, b = sampler.pairs()
+    quot = [float((u - v) @ (f(0.0, u) - f(0.0, v)) / ((u - v) @ (u - v))) for u, v in zip(a, b)]
+    est = integral_rate(f, sampler)
+    assert (est.samples, est.ascent_iters) == (6, 0)
+    assert est.value == pytest.approx(max(quot), rel=1e-12)
+    est = differential_rate(f, sampler)
+    assert (est.samples, est.ascent_iters) == (6, 0)
+    assert est.value == max(lognorm_closed(f.jacobian(0.0, u), 2.0).value for u in pts)
