@@ -397,7 +397,7 @@ KINDS = {
     "pde-claw": (_run_pde_claw, ("n", "flux", "t_span"), ("amplitude", "h_t", "tol", "length")),
     "poisson": (_run_poisson, ("n", "forcing"), ("bc", "tol", "u0")),
     "regress": (_run_regress, ("p", "features", "targets", "alpha", "steps"), ("u0", "tol")),
-    "symmetry": (_run_symmetry, ("matrix", "transform", "p"), ("tol", "samples", "radius")),
+    "symmetry": (_run_symmetry, ("matrix", "transform"), ("p", "tol", "samples", "radius")),
 }
 
 

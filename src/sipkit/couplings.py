@@ -189,7 +189,7 @@ def _zero_range_residual(F, spec: NormSpec, seed=0):
     via symmetric eigenvalues in the plain l2 norm, else over 200 probes in
     one _quotient_rows call."""
     Ft = np.swapaxes(F, -1, -2)
-    if spec.p == 2.0 and spec.weight is None and not spec.stack:
+    if spec.p == 2.0 and spec.transform is None:
         w = np.linalg.eigvalsh((F + Ft) / 2.0)
         return float(np.max(np.abs(w)))
     vs = np.random.default_rng(seed).normal(size=(200, F.shape[-1]))

@@ -200,7 +200,7 @@ def _coordinate_support(Q):
 def _projected_rate_linear(A, Q, spec: NormSpec):
     """Exact compression rate for linear fields where a closed form exists:
     operator_rate of the compressed matrix."""
-    if spec.weight is not None or spec.stack:
+    if spec.transform is not None:
         return None
     if spec.p == 2.0:
         # orthonormal range of Q, with scipy.linalg.orth's rank rule

@@ -12,8 +12,9 @@ still running and one on their candidates.  _sampled_sup is a single
 supremum over times and starts.  _operator_rates rates a (B, n, n) stack
 of matrices at once, by stacked closed forms for p in {1, 2, inf} and
 otherwise by one sweep and one lockstep ascent for all B; operator_rate is
-its B = 1 case.  The closed forms take every p=2 norm: a stacked l2 norm
-||Su||_2 is the weighted norm ||Ru||_2 of the triangular factor of S = QR.
+its B = 1 case.  The closed forms take every p=2 norm and every weighted
+one: they rate spec.conjugate(A) = R A R^-1, with the spec's cached
+factor R (a stacked l2 norm ||Su||_2 is ||Ru||_2 for S = QR).
 Every exact matrix RateEstimate (an affine field's rates, pdelab's Sobolev
 rates, the invariant compressions) comes from _operator_rates.  The
 quotients come from the fused row kernel spaces._quotient_rows.
@@ -34,7 +35,7 @@ from .errors import (
     EvaluationError,
     UnsupportedNormError,
 )
-from .spaces import COND_LIMIT, NormSpec, _ladder_limit, _quotient_rows, _raw_norm_rows
+from .spaces import NormSpec, _checked_weight, _ladder_limit, _quotient_rows, _raw_norm_rows
 
 __all__ = [
     "RateEstimate",
@@ -194,10 +195,10 @@ class Points:
     def dim(self):
         return len(self.points[0])
 
-    def draw(self, rng, count):
+    def draw(self, rng, count, start=0):
+        """count points cycling through the list from index start."""
         arr = np.asarray(self.points)
-        idx = np.arange(count) % arr.shape[0]
-        return arr[idx]
+        return arr[(start + np.arange(count)) % len(arr)]
 
     def project(self, x):
         return x
@@ -222,7 +223,10 @@ class DomainSampler:
     def pairs(self):
         rng = np.random.default_rng((self.seed, 1))
         a = self.region.draw(rng, self.count)
-        b = self.region.draw(rng, self.count)
+        if isinstance(self.region, Points):  # each listed point with the next one
+            b = self.region.draw(rng, self.count, start=1)
+        else:
+            b = self.region.draw(rng, self.count)
         # nudge coincident pairs apart; the quotient needs u != v
         bad = np.linalg.norm(a - b, axis=1) < 1e-10
         if np.any(bad):
@@ -514,21 +518,6 @@ def operator_norm(A, p, samples=200, seed=0):
     return best, SAMPLED
 
 
-def _weighted_conjugate(A, spec: NormSpec):
-    """Return (B, base_p) with the weight folded in: ||.||_w of A equals
-    the plain p-norm picture of B.  A square A or a stack of them.  At p=2
-    a stack S = [I; D_1; ...; D_k] is the weight R of S = QR."""
-    if spec.stack:
-        if spec.p != 2.0:
-            raise UnsupportedNormError("stacked norms have no square conjugation off p=2; use sampled rates")
-        W = np.linalg.qr(np.vstack((np.eye(A.shape[-1]),) + tuple(spec.stack)), mode="r")
-    elif spec.weight is None:
-        return A, spec.p
-    else:
-        W = spec.weight
-    return W @ A @ np.linalg.inv(W), spec.p
-
-
 def lognorm_limit(A, spec: NormSpec = NormSpec(), samples=200, seed=0) -> RateEstimate:
     """Log norm by its definition: extrapolated limit of (||I+hA||-1)/h.
 
@@ -536,7 +525,7 @@ def lognorm_limit(A, spec: NormSpec = NormSpec(), samples=200, seed=0) -> RateEs
     norm inside the quotient is itself a sampled lower bound (the probe set
     is frozen across the h ladder so the quotient stays smooth in h).
     """
-    B, p = _weighted_conjugate(_as_square(A), spec)
+    B, p = spec.conjugate(_as_square(A)), spec.p
     n = B.shape[0]
     eye = np.eye(n, dtype=B.dtype)
     if p in (1.0, 2.0, math.inf):
@@ -572,8 +561,8 @@ def _operator_rates(As, spec: NormSpec = NormSpec(), samples=200, seed=0) -> lis
         raise DimensionError(f"expected a stack of square matrices, got shape {As.shape}")
     if spec.p == 2.0 or (not spec.stack and spec.p in (1.0, math.inf)):
         kind = EIGEN if spec.p == 2.0 else EXACT
-        note = "stack-conjugated" if spec.stack else "weight-conjugated" if spec.weight is not None else ""
-        values = _closed_lognorms(_weighted_conjugate(As, spec)[0], spec.p)
+        note = "" if spec.transform is None else "stack-conjugated" if spec.stack else "weight-conjugated"
+        values = _closed_lognorms(spec.conjugate(As), spec.p)
         return [RateEstimate(float(v), kind, note=note) for v in values]
     # sampled numerical range in the (possibly weighted/stacked) norm
     B, n, _ = As.shape
@@ -705,13 +694,7 @@ class WeightFamily:
     du: Callable | None = None
 
     def matrix(self, t, u):
-        W = np.asarray(self.theta(float(t), np.asarray(u)), dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ConditioningError(f"weight family returned shape {W.shape}")
-        c = np.linalg.cond(W)
-        if not np.isfinite(c) or c > COND_LIMIT:
-            raise ConditioningError(f"weight family condition number {c:.3e} exceeds {COND_LIMIT:.0e}")
-        return W
+        return _checked_weight(np.asarray(self.theta(float(t), np.asarray(u)), dtype=float), "weight family")
 
     def total_derivative(self, t, u, direction):
         """d/dt Theta along a trajectory moving with the given velocity."""
@@ -747,12 +730,10 @@ def weighted_rate(
     d(Theta)/dt + Theta Df at sampled states and returns the sup of the
     log norm of (generator) Theta^{-1} in the base norm.
     """
-    if spec.weight is not None or spec.stack:
+    if spec.transform is not None:
         raise ConditioningError("pass the weight via `theta`, not inside spec")
     if mode == "constant":
-        W = np.asarray(theta, dtype=float)
-        wspec = NormSpec(p=spec.p, weight=W, field_kind=spec.field_kind)
-        return integral_rate(f, sampler, wspec, times=times)
+        return integral_rate(f, sampler, NormSpec(p=spec.p, weight=theta, field_kind=spec.field_kind), times=times)
     if mode != "varying":
         raise DegenerateArgumentError(f"unknown mode {mode!r}")
     fam = theta if isinstance(theta, WeightFamily) else WeightFamily(theta=theta)

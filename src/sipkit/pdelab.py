@@ -253,10 +253,7 @@ class SobolevSpec:
             raise DegenerateArgumentError("stacking order k must be in 0..4")
 
     def norm_spec(self, grid) -> NormSpec:
-        if self.k == 0:
-            return NormSpec(p=self.p)
-        ops = tuple(difference_operator(grid, j) for j in range(1, self.k + 1))
-        return NormSpec(p=self.p, stack=ops)
+        return NormSpec(p=self.p, stack=tuple(difference_operator(grid, j) for j in range(1, self.k + 1)))
 
 
 # ------------------------------------------------------- mass-zero tools
@@ -311,7 +308,7 @@ def poincare_rate(grid, spec: NormSpec = NormSpec()) -> RateEstimate:
     -4 pi^2); neumann: the constant mode stays, so the rate degenerates
     to 0 (flagged, not an error).
     """
-    if spec.p != 2.0 or spec.weight is not None or spec.stack:
+    if spec.p != 2.0 or spec.transform is not None:
         raise UnsupportedNormError("spectral-gap rate is an l2 computation")
     axes = grid.axes if isinstance(grid, Grid2D) else (grid,)
     if grid.bc == "dirichlet":
@@ -579,10 +576,9 @@ def sobolev_rate(
     spec = sob.norm_spec(grid)
     if mass_zero and F.matrix is not None and sob.p == 2.0:
         V = mass_zero_basis(F.dim)
-        stack = spec.stack or ()
-        S = np.vstack((np.eye(F.dim),) + stack)
+        S = np.eye(F.dim) if spec.transform is None else spec.transform
         B = np.linalg.lstsq(S @ V, S @ F.matrix @ V, rcond=None)[0]
-        return operator_rate(B, NormSpec(stack=tuple(D @ V for D in stack)))
+        return operator_rate(B, NormSpec(stack=tuple(D @ V for D in spec.stack)))
     if mass_zero:
         if sampler is None:
             raise DegenerateArgumentError("mass-zero sampled rates need a DomainSampler")

@@ -2,7 +2,8 @@
 
 Every rate computed by this package is a supremum of quotients built from
 a norm and the semi-inner product compatible with it.  This module owns
-those primitives: weighted and stacked l^p norms and their right/left
+those primitives: weighted and stacked l^p norms ||u|| = ||T u||_p, whose
+T and square factor R only NormSpec decides, and their right/left
 semi-inner products, with one closed-form kernel for each that works on
 stacks of rows.  The single-vector forms (norm, sip, complex_sip) are its
 one-row case, the row-wise forms (norm_rows, sip_rows, and the fused
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,15 +69,25 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _checked_weight(W, what: str = "weight") -> np.ndarray:
+    """W, after checking that it is square with a condition number of at most COND_LIMIT."""
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise ConditioningError(f"{what} must be square, got shape {W.shape}")
+    c = np.linalg.cond(W)
+    if not np.isfinite(c) or c > COND_LIMIT:
+        raise ConditioningError(f"{what} condition number {c:.3e} exceeds {COND_LIMIT:.0e}")
+    return W
+
+
 @dataclass(frozen=True, eq=False)
 class NormSpec:
-    """Which norm a computation runs in.
+    """Which norm a computation runs in: ||u|| = ||T u||_p.
 
-    p=2 with no weight is the plain Euclidean case.  A square invertible
-    ``weight`` matrix measures vectors after the change of coordinates it
-    induces.  ``stack`` holds grid difference operators; when present the
-    norm is the stacked one (p-th powers of the derivative levels summed),
-    and ``sobolev_k`` reports how many derivative levels are attached.
+    p=2 with no weight is the plain Euclidean case (T is None).  A square
+    invertible ``weight`` W gives T = W; ``stack`` holds grid difference
+    operators D_1..D_k for the stacked norm (p-th powers of the derivative
+    levels summed), T = [I; D_1; ...; D_k].  Both are kept as read-only
+    copies and ``transform`` = T is built from them once.
     """
 
     p: float = 2.0
@@ -88,20 +100,38 @@ class NormSpec:
             raise UnsupportedNormError(f"p must satisfy p >= 1, got {self.p}")
         if self.field_kind not in ("real", "complex"):
             raise DegenerateArgumentError(f"unknown field {self.field_kind!r}")
-        if self.weight is not None:
-            w = np.asarray(self.weight, dtype=complex if self.field_kind == "complex" else float)
-            if w.ndim != 2 or w.shape[0] != w.shape[1]:
-                raise ConditioningError(f"weight must be square, got shape {w.shape}")
-            c = np.linalg.cond(w)
-            if not np.isfinite(c) or c > COND_LIMIT:
-                raise ConditioningError(f"weight condition number {c:.3e} exceeds {COND_LIMIT:.0e}")
-            object.__setattr__(self, "weight", w)
         if self.weight is not None and self.stack is not None:
             raise ConditioningError("weight and stack are mutually exclusive")
+        T = None
+        if self.weight is not None:
+            T = _checked_weight(np.array(self.weight, dtype=complex if self.field_kind == "complex" else float))
+            object.__setattr__(self, "weight", T)
+        elif self.stack:
+            ops = tuple(np.array(op) for op in self.stack)
+            if any(op.ndim != 2 or op.shape[1] != ops[0].shape[1] for op in ops):
+                raise DimensionError("stack operators must be matrices acting on one dimension")
+            T = np.vstack((np.eye(ops[0].shape[1]),) + ops)
+            object.__setattr__(self, "stack", ops)
+        if T is not None:  # the spec's coordinates never change after this
+            for a in (T, *(self.stack or ())):
+                a.flags.writeable = False
+        object.__setattr__(self, "transform", T)
 
-    @property
-    def sobolev_k(self) -> int:
-        return 0 if self.stack is None else len(self.stack)
+    @cached_property
+    def _square(self):
+        """(R, R^-1), ||u|| = ||R u||_p: W, or at p=2 the R of the stack's T = QR."""
+        if self.stack and self.p != 2.0:
+            raise UnsupportedNormError("stacked norms have no square conjugation off p=2; use sampled rates")
+        R = np.linalg.qr(self.transform, mode="r") if self.stack else self.transform
+        return R, np.linalg.inv(R)
+
+    def conjugate(self, A):
+        """R A R^-1 for a square A or a stack of them (A itself for a plain
+        norm), whose plain l^p log norm is A's log norm in this norm."""
+        if self.transform is None:
+            return A
+        R, R_inv = self._square
+        return R @ A @ R_inv
 
 
 def _dtype(spec: NormSpec):
@@ -110,20 +140,12 @@ def _dtype(spec: NormSpec):
 
 def _transform_rows(V: np.ndarray, spec: NormSpec) -> np.ndarray:
     """Map every row of V into the coordinates the norm actually measures."""
-    if spec.weight is not None:
-        if spec.weight.shape[1] != V.shape[1]:
-            raise DimensionError(
-                f"weight acts on dimension {spec.weight.shape[1]}, vectors have {V.shape[1]}"
-            )
-        return V @ spec.weight.T
-    if spec.stack:
-        parts = [V]
-        for op in spec.stack:
-            if op.shape[1] != V.shape[1]:
-                raise DimensionError("stack operator does not match vector dimension")
-            parts.append(V @ op.T)
-        return np.concatenate(parts, axis=1)
-    return V
+    T = spec.transform
+    if T is None:
+        return V
+    if T.shape[1] != V.shape[1]:
+        raise DimensionError(f"norm coordinates act on dimension {T.shape[1]}, vectors have {V.shape[1]}")
+    return V @ T.T
 
 
 def _raw_norm_rows(X: np.ndarray, p: float) -> np.ndarray:

@@ -205,6 +205,17 @@ def test_symmetry_exit_codes(tmp_path):
     assert rep["results"]["equivariance_residual"] > 0.1
 
 
+def test_symmetry_needs_no_exponent(tmp_path):
+    # the equivariance residual is Euclidean: p is optional and not read
+    params = {"matrix": [[-1, 0], [0, -1]], "transform": [[0, -1], [1, 0]]}
+    f = write_scenario(tmp_path, "y", {"kind": "symmetry", "parameters": params})
+    assert main(["validate", str(f)]) == 0
+    code, rep, _ = run_scen(tmp_path, "y-run", {"kind": "symmetry", "parameters": params}, seed=3)
+    code_p, rep_p, _ = run_scen(tmp_path, "y-p", {"kind": "symmetry", "parameters": {**params, "p": 1}}, seed=3)
+    assert code == code_p == 0
+    assert rep["results"] == rep_p["results"]
+
+
 # ------------------------------------------------------ errors and usage
 
 

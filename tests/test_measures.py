@@ -642,3 +642,33 @@ def test_explicit_point_lists_get_no_ascent():
     est = differential_rate(f, sampler)
     assert (est.samples, est.ascent_iters) == (6, 0)
     assert est.value == max(lognorm_closed(f.jacobian(0.0, u), 2.0).value for u in pts)
+
+
+def test_point_list_pairs_each_point_with_the_next():
+    pts = np.random.default_rng(3).normal(size=(6, 2))
+    for count in (6, 8):
+        a, b = DomainSampler(Points(pts), count=count, seed=4).pairs()
+        i = np.arange(count)
+        assert np.array_equal(a, pts[i % 6]) and np.array_equal(b, pts[(i + 1) % 6])
+    # points() still cycles from the first listed point
+    assert np.array_equal(DomainSampler(Points(pts), count=8).points(), pts[np.arange(8) % 6])
+    # other regions still draw both halves from one generator
+    for region in (Box((-1.0, -1.0), (1.0, 2.0)), Ball((0.0, 1.0), 2.0), Sphere((1.0, 0.0), 0.5)):
+        rng = np.random.default_rng((9, 1))
+        want = region.draw(rng, 10), region.draw(rng, 10)
+        got = DomainSampler(region, count=10, seed=9).pairs()
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_weighted_spec_inverts_its_weight_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    spec = NormSpec(p=1.0, weight=2.0 * np.eye(5) + 0.2 * rng.normal(size=(5, 5)))
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda M: calls.append(1) or inv(M))
+    mats = [rng.normal(size=(5, 5)) for _ in range(4)]
+    got = [operator_rate(A, spec).value for A in mats]
+    assert len(calls) == 1
+    monkeypatch.undo()
+    W = spec.weight
+    assert got == [lognorm_closed(W @ A @ np.linalg.inv(W), 1.0).value for A in mats]

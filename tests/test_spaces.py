@@ -16,6 +16,7 @@ from sipkit.errors import (
     DimensionError,
     UnsupportedNormError,
 )
+from sipkit.measures import operator_rate
 from sipkit.spaces import (
     NormSpec,
     complex_sip,
@@ -375,3 +376,35 @@ def test_conjugate_exponent_pairs():
     assert conjugate_exponent(1.5) == 3.0
     assert conjugate_exponent(1.0) == math.inf
     assert conjugate_exponent(math.inf) == 1.0
+
+
+def test_spec_keeps_its_own_read_only_coordinates():
+    # a weight or stack changed in place after construction changes nothing
+    rng = np.random.default_rng(11)
+    W = np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1 * np.triu(np.ones((4, 4)), 1)
+    D = np.diff(np.eye(5), axis=0)[:, :4] + np.eye(4)
+    u, v = rng.normal(size=4), rng.normal(size=4)
+    A = rng.normal(size=(4, 4))
+    for kw, arr in (({"weight": W}, W), ({"stack": (D,)}, D)):
+        spec = NormSpec(p=2.0, **kw)
+        before = (norm(u, spec), sip(u, v, spec), operator_rate(A, spec).value)
+        arr[0, 0] = 1e-20  # cond(W) 1e20 once applied: must not get past COND_LIMIT
+        assert (norm(u, spec), sip(u, v, spec), operator_rate(A, spec).value) == before
+        for a in (spec.transform, spec.weight, *(spec.stack or ())):
+            if a is not None:
+                with pytest.raises(ValueError):
+                    a[0, 0] = 0.0
+    with pytest.raises(ConditioningError):
+        NormSpec(weight=W)
+
+
+def test_spec_transform_is_its_coordinates():
+    D = np.diff(np.eye(4), axis=0)
+    assert NormSpec(p=3.0).transform is None
+    assert NormSpec(stack=()).transform is None
+    assert np.array_equal(NormSpec(weight=2.0 * np.eye(3)).transform, 2.0 * np.eye(3))
+    assert np.array_equal(NormSpec(stack=(D.T @ D, D.T @ D)).transform, np.vstack([np.eye(4), D.T @ D, D.T @ D]))
+    with pytest.raises(DimensionError, match="one dimension"):
+        NormSpec(stack=(np.eye(3), np.eye(4)))
+    with pytest.raises(DimensionError, match="act on dimension 4"):
+        norm(np.ones(3), NormSpec(stack=(np.eye(4),)))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from sipkit.measures import Ball, DomainSampler, VectorField, integral_rate, operator_rate
+from sipkit.measures import Ball, DomainSampler, VectorField, differential_rate, integral_rate, operator_rate
 from sipkit.pdelab import Grid1D, SobolevSpec, build_laplacian, mass_zero_basis, poincare_rate, sobolev_rate
 
 _BCS = ("periodic", "dirichlet", "neumann")
@@ -96,3 +96,16 @@ def test_stacked_specs_off_p2_stay_sampled():
     A = build_laplacian(g)
     for p in (1.0, 3.0, math.inf):
         assert operator_rate(A, SobolevSpec(k=1, p=p).norm_spec(g), samples=16).kind == "sampled-lower-bound"
+
+
+def test_stacked_spec_factors_its_stack_once(monkeypatch):
+    g = Grid1D(16, "periodic")
+    L = build_laplacian(g)
+    spec = SobolevSpec(k=2).norm_spec(g)
+    f = VectorField.autonomous(lambda u: L @ u - u**3, 16, jac=lambda u: L - np.diag(3.0 * u**2))
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
+    est = differential_rate(f, DomainSampler(Ball(tuple(np.zeros(16)), 1.0), count=12), spec, ascent_starts=1)
+    assert len(calls) == 1
+    assert est.ascent_iters > 0
