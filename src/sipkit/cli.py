@@ -49,10 +49,6 @@ from .pdelab import (
 )
 from .spaces import NormSpec
 
-USAGE = """usage: sipkit run <scenario.json> [--out DIR] [--seed N]
-       sipkit validate <scenario.json>
-scenario kinds: measure verify subspace manifold couple pde-rd pde-claw poisson regress symmetry"""
-
 # ---------------------------------------------------------- serialization
 
 
@@ -125,35 +121,40 @@ def _matrix(raw) -> np.ndarray:
     return np.asarray(raw, dtype=float)
 
 
-def _ball_sampler(params, dim, count_key, count, seed):
-    """Seeded probes in the ball of the scenario's radius (default 1) about 0."""
-    ball = Ball(np.zeros(dim), float(params.get("radius", 1.0)))
-    return DomainSampler(ball, count=int(params.get(count_key, count)), seed=seed)
+def _named_option(table, key, value):
+    """(name, table entry, option keys) of a name or a {"name": name, **option keys} object."""
+    options = dict(value) if isinstance(value, dict) else {"name": value}
+    name = str(options.pop("name", None))
+    if name not in table:
+        raise SipkitError(f"unknown {key} {name!r}; known: {', '.join(table)}")
+    return name, table[name], options
 
 
-def _run_measure(params, seed, outdir):
-    A = _matrix(params["matrix"])
-    spec = NormSpec(p=float(params["p"]))
-    if "weight" in params:
-        spec = NormSpec(p=spec.p, weight=_matrix(params["weight"]))
-    est = operator_rate(A, spec, seed=seed)
+# A handler takes (seed, outdir) and the scenario's parameters as keyword-only
+# arguments, which declare its kind: a key with no default is required, one
+# with a default optional.  It returns (results, series, passed).
+
+
+def _run_measure(seed, outdir, *, matrix, p, weight=None):
+    spec = NormSpec(p=float(p), weight=None if weight is None else _matrix(weight))
+    est = operator_rate(_matrix(matrix), spec, seed=seed)
     return {"lognorm": _rate_entry(est)}, {}, True
 
 
-def _run_verify(params, seed, outdir):
-    A = _matrix(params["matrix"])
-    spec = NormSpec(p=float(params["p"]))
-    f = VectorField.linear(A)
-    sampler = _ball_sampler(params, A.shape[0], "pairs", 10, seed)
-    a, b = sampler.pairs()
+def _run_verify(
+    seed, outdir, *, matrix, p, rate, overshoot=1.0, t_span=(0.0, 1.0), step=1e-2, pairs=10, radius=1.0
+):
+    A = _matrix(matrix)
+    spec = NormSpec(p=float(p))
+    a, b = DomainSampler(Ball(np.zeros(A.shape[0]), float(radius)), count=int(pairs), seed=seed).pairs()
     res = verify_contraction(
-        f,
+        VectorField.linear(A),
         list(zip(a, b)),
         spec,
-        rate=float(params["rate"]),
-        overshoot=float(params.get("overshoot", 1.0)),
-        t_span=tuple(params.get("t_span", (0.0, 1.0))),
-        h=float(params.get("step", 1e-2)),
+        rate=float(rate),
+        overshoot=float(overshoot),
+        t_span=tuple(t_span),
+        h=float(step),
     )
     results = {
         "claimed_rate": res.claimed_rate,
@@ -164,14 +165,12 @@ def _run_verify(params, seed, outdir):
     return results, {}, bool(res.passed)
 
 
-def _run_subspace(params, seed, outdir):
-    A = _matrix(params["matrix"])
+def _run_subspace(seed, outdir, *, matrix, projection, p, tol=1e-8, samples=100, radius=1.0):
+    A = _matrix(matrix)
     f = VectorField.linear(A)
-    sub = SubspaceSpec(_matrix(params["projection"]))
-    sampler = _ball_sampler(params, A.shape[0], "samples", 100, seed)
-    rep = subspace_certificate(
-        f, sub, sampler, NormSpec(p=float(params["p"])), tol=float(params.get("tol", 1e-8))
-    )
+    sub = SubspaceSpec(_matrix(projection))
+    sampler = DomainSampler(Ball(np.zeros(A.shape[0]), float(radius)), count=int(samples), seed=seed)
+    rep = subspace_certificate(f, sub, sampler, NormSpec(p=float(p)), tol=float(tol))
     results = {
         "invariance_residual": rep.invariance_residual,
         "transverse_rate": _rate_entry(rep.rate),
@@ -179,16 +178,17 @@ def _run_subspace(params, seed, outdir):
     return results, {}, bool(rep.passed)
 
 
-def _hopf_setup(params, seed):
-    omega = float(params.get("omega", 3.0))
-    mu = float(params.get("mu", 1.0))
+def _run_manifold(seed, outdir, *, system, omega=3.0, mu=1.0, tol=1e-8):
+    name = str(system)
+    if name != "hopf":
+        raise SipkitError(f"unknown manifold system {name!r}; known: hopf")
+    omega, mu = float(omega), float(mu)
 
-    def fn(t, u):
+    def hopf(t, u):
         x, y = u
         s = mu - (x * x + y * y)
         return np.array([s * x - omega * y, omega * x + s * y])
 
-    f = VectorField(fn, 2, name="hopf")
     man = ManifoldSpec(
         phi=lambda u: np.array([u @ u - mu]),
         dim=2,
@@ -197,15 +197,7 @@ def _hopf_setup(params, seed):
     )
     seeds = DomainSampler(Ball(np.zeros(2), 1.5 * math.sqrt(mu)), count=12, seed=seed)
     ambient = DomainSampler(Sphere(np.zeros(2), math.sqrt(mu)), count=32, seed=seed)
-    return f, man, seeds, ambient
-
-
-def _run_manifold(params, seed, outdir):
-    name = str(params["system"])
-    if name != "hopf":
-        raise SipkitError(f"unknown manifold system {name!r}; known: hopf")
-    f, man, seeds, ambient = _hopf_setup(params, seed)
-    rep = manifold_certificate(f, man, seeds, ambient, tol=float(params.get("tol", 1e-8)))
+    rep = manifold_certificate(VectorField(hopf, 2, name="hopf"), man, seeds, ambient, tol=float(tol))
     results = {
         "tangency_residual": rep.tangency_residual,
         "constraint_rate": _rate_entry(rep.rate),
@@ -215,9 +207,9 @@ def _run_manifold(params, seed, outdir):
     return results, {}, bool(rep.passed)
 
 
-def _run_couple(params, seed, outdir):
-    J1, J2 = (_matrix(b) for b in params["blocks"])
-    B = _matrix(params["coupling"])
+def _run_couple(seed, outdir, *, blocks, coupling):
+    J1, J2 = (_matrix(b) for b in blocks)
+    B = _matrix(coupling)
     sys_ = BlockSystem(
         blocks=[[J1, B], [-B.T, J2]],
         dims=(J1.shape[0], J2.shape[0]),
@@ -232,25 +224,26 @@ def _run_couple(params, seed, outdir):
     return results, {}, bool(rep.composite_rate < 0.0)
 
 
-def _initial_profile(params, grid):
-    raw = params.get("u0", "sin")
-    if isinstance(raw, str):
-        if raw == "sin":
+def _initial_profile(u0, grid):
+    if isinstance(u0, str):
+        if u0 == "sin":
             return demean(np.sin(2.0 * np.pi * grid.points / grid.length))
-        if raw == "bump":
+        if u0 == "bump":
             return 0.5 + 0.3 * np.sin(2.0 * np.pi * grid.points / grid.length)
-        raise SipkitError(f"unknown u0 profile {raw!r}; known: sin, bump")
-    return np.asarray(raw, dtype=float)
+        raise SipkitError(f"unknown u0 profile {u0!r}; known: sin, bump")
+    return np.asarray(u0, dtype=float)
 
 
-def _run_pde_rd(params, seed, outdir):
-    grid = Grid1D(int(params["n"]), str(params["bc"]), float(params.get("length", 1.0)))
-    alpha = float(params["alpha"])
-    c = float(params.get("reaction", 0.0))
+def _run_pde_rd(
+    seed, outdir, *, n, bc, alpha, t_span, reaction=0.0, u0="sin", h_t=None, length=1.0, claimed_rate=None
+):
+    grid = Grid1D(int(n), str(bc), float(length))
+    alpha = float(alpha)
+    c = float(reaction)
     reaction = None if c == 0.0 else (lambda t, U: c * U)
-    u0 = _initial_profile(params, grid)
-    h_t = float(params.get("h_t", 0.9 * grid.h**2 / (2.0 * alpha)))
-    tr = rd_simulate(alpha, reaction, grid, u0, tuple(params["t_span"]), h_t)
+    u0 = _initial_profile(u0, grid)
+    h_t = 0.9 * grid.h**2 / (2.0 * alpha) if h_t is None else float(h_t)
+    tr = rd_simulate(alpha, reaction, grid, u0, tuple(t_span), h_t)
     dist = np.array([np.linalg.norm(demean(s)) for s in tr.states])
     fitted, kappa = overshoot_fit(tr.times, dist)
     drift = float(np.max(np.abs(total_mass(grid, tr.states) - total_mass(grid, tr.states[0]))))
@@ -262,36 +255,35 @@ def _run_pde_rd(params, seed, outdir):
         "mass_drift": drift,
     }
     passed = True
-    if "claimed_rate" in params:
-        results["claimed_rate"] = float(params["claimed_rate"])
-        passed = bool(fitted <= float(params["claimed_rate"]) + 1e-6)
+    if claimed_rate is not None:
+        results["claimed_rate"] = float(claimed_rate)
+        passed = bool(fitted <= float(claimed_rate) + 1e-6)
     stride = max(1, len(tr.times) // 400)
     series = {"distance": (tr.times[::stride], dist[::stride])}
     return results, series, passed
 
 
-def _run_pde_claw(params, seed, outdir):
-    grid = Grid1D(int(params["n"]), "periodic", float(params.get("length", 1.0)))
-    spec = params["flux"]
-    name = spec["name"] if isinstance(spec, dict) else str(spec)
-    amp = float(params.get("amplitude", 1.0))
+# Option tables: an entry's keyword-only parameters declare its option keys,
+# as a handler's do.  A flux entry builds (flux, whether its rate must be 0).
+_FLUXES = {
+    "advection": lambda *, speed=1.0: ((lambda u, c=float(speed): c * u), True),
+    "burgers": lambda: ((lambda u: 0.5 * u**2), False),
+}
+
+
+def _run_pde_claw(seed, outdir, *, n, flux, t_span, amplitude=1.0, h_t=1e-3, tol=1e-8, length=1.0):
+    grid = Grid1D(int(n), "periodic", float(length))
+    name, make_flux, options = _named_option(_FLUXES, "flux", flux)
+    flux, rate_checked = make_flux(**options)
+    amp = float(amplitude)
     x = grid.points
-    if name == "advection":
-        c = float(spec.get("speed", 1.0)) if isinstance(spec, dict) else 1.0
-        flux = lambda u: c * u
-        rate_tol = float(params.get("tol", 1e-8))
-    elif name == "burgers":
-        flux = lambda u: 0.5 * u**2
-        rate_tol = None
-    else:
-        raise SipkitError(f"unknown flux {name!r}; known: advection, burgers")
     profiles = np.array([a * np.sin(2.0 * np.pi * x / grid.length) for a in (0.5 * amp, amp)])
     sampler = DomainSampler(Points(profiles), count=len(profiles), seed=seed)
     rep = conservation_rate(flux, grid, sampler)
     Dc = _central_difference(grid)
     claw = VectorField(lambda t, u: -(Dc @ flux(u)), grid.n, name=name)
     u0 = 0.3 + 0.1 * amp * np.sin(2.0 * np.pi * x / grid.length)
-    tr = integrate(claw, u0, tuple(params["t_span"]), float(params.get("h_t", 1e-3)))
+    tr = integrate(claw, u0, tuple(t_span), float(h_t))
     mass = total_mass(grid, tr.states)
     drift = float(np.max(np.abs(mass - mass[0])))
     results = {
@@ -299,33 +291,32 @@ def _run_pde_claw(params, seed, outdir):
         "skewness_residual": rep.skewness_residual,
         "mass_drift": drift,
     }
-    passed = drift <= 1e-8 and (rate_tol is None or abs(rep.rate.value) <= rate_tol)
+    passed = drift <= 1e-8 and (not rate_checked or abs(rep.rate.value) <= float(tol))
     stride = max(1, len(tr.times) // 400)
     series = {"mass": (tr.times[::stride], mass[::stride])}
     return results, series, bool(passed)
 
 
-def _run_poisson(params, seed, outdir):
-    grid = Grid1D(int(params["n"]), str(params.get("bc", "dirichlet")))
+# Each forcing entry builds du/dt = L u + forcing from the Laplacian L.
+_FORCINGS = {
+    "constant": lambda L, *, value=1.0: VectorField.linear(L, b=np.full(L.shape[0], float(value))),
+    "tanh": lambda L: VectorField(
+        lambda t, u: L @ u + np.tanh(u), L.shape[0], jac=lambda t, u: L + np.diag(1.0 - np.tanh(u) ** 2)
+    ),
+}
+
+
+def _run_poisson(seed, outdir, *, n, forcing, bc="dirichlet", tol=1e-8, u0=None):
+    grid = Grid1D(int(n), str(bc))
     L = build_laplacian(grid)
-    forcing = params["forcing"]
-    name = forcing["name"] if isinstance(forcing, dict) else str(forcing)
-    if name == "constant":
-        b = float(forcing.get("value", 1.0)) if isinstance(forcing, dict) else 1.0
-        F = VectorField.linear(L, b=np.full(grid.n, b))
-    elif name == "tanh":
-        F = VectorField(
-            lambda t, u: L @ u + np.tanh(u),
-            grid.n,
-            jac=lambda t, u: L + np.diag(1.0 - np.tanh(u) ** 2),
-        )
-    else:
-        raise SipkitError(f"unknown forcing {name!r}; known: constant, tanh")
-    u0 = None
-    if params.get("u0") == "random":
+    _, make_field, options = _named_option(_FORCINGS, "forcing", forcing)
+    F = make_field(L, **options)
+    if u0 == "random":
         u0 = np.random.default_rng(seed).normal(size=grid.n)
+    elif u0 is not None and np.shape(u0) != (grid.n,):
+        raise SipkitError(f'u0 must be "random" or an array of {grid.n} numbers')
     try:
-        u, rep = fixed_point_solve(F, grid, tol=float(params.get("tol", 1e-8)), u0=u0)
+        u, rep = fixed_point_solve(F, grid, tol=float(tol), u0=u0)
     except CertificateRefusedError as exc:
         return {"refused": str(exc)}, {}, False
     results = {
@@ -341,21 +332,20 @@ def _run_poisson(params, seed, outdir):
     return results, series, bool(rep.converged)
 
 
-def _run_regress(params, seed, outdir):
-    rows = _matrix(params["features"])
-    ys = np.asarray(params["targets"], dtype=float)
+def _run_regress(seed, outdir, *, p, features, targets, alpha, steps, u0=None, tol=1e-8):
+    rows = _matrix(features)
+    ys = np.asarray(targets, dtype=float)
     if rows.shape[0] != ys.shape[0]:
         raise SipkitError(f"{rows.shape[0]} feature rows vs {ys.shape[0]} targets")
     prob = RegressionProblem(
         samples=tuple((i, ys[i]) for i in range(len(ys))),
         features=lambda i: rows[int(i)],
-        p=float(params["p"]),
+        p=float(p),
     )
-    steps = int(params["steps"])
-    alpha = float(params["alpha"])
-    u0 = np.asarray(params.get("u0", np.zeros(rows.shape[1])), dtype=float)
+    steps = int(steps)
+    alpha = float(alpha)
+    u0 = np.zeros(rows.shape[1]) if u0 is None else np.asarray(u0, dtype=float)
     u, rep = mirror_descent_run(prob, alpha, steps, u0)
-    tol = float(params.get("tol", 1e-8))
     results = {
         "final_risk": rep.final_risk,
         "gradient_norm": rep.gradient_norm,
@@ -368,54 +358,59 @@ def _run_regress(params, seed, outdir):
     times = alpha * np.arange(steps + 1)
     stride = max(1, len(times) // 400)
     series = {"risk": (times[::stride], rep.risks[::stride])}
-    return results, series, bool(rep.final_risk <= tol and not rep.warned)
+    return results, series, bool(rep.final_risk <= float(tol) and not rep.warned)
 
 
-def _run_symmetry(params, seed, outdir):
-    A = _matrix(params["matrix"])
-    T = _matrix(params["transform"])
+def _run_symmetry(seed, outdir, *, matrix, transform, p=None, tol=1e-8, samples=50, radius=1.0):
+    # p is accepted and not read: the equivariance residual is Euclidean
+    A = _matrix(matrix)
+    T = _matrix(transform)
     f = VectorField.linear(A)
-    sampler = _ball_sampler(params, A.shape[0], "samples", 50, seed)
+    sampler = DomainSampler(Ball(np.zeros(A.shape[0]), float(radius)), count=int(samples), seed=seed)
     residual = equivariance_residual(f, LinearSymmetry(T), sampler)
-    tol = float(params.get("tol", 1e-8))
+    tol = float(tol)
     return {"equivariance_residual": residual, "tol": tol}, {}, bool(residual <= tol)
 
 
-# kind: (handler, required parameter keys, optional parameter keys); a
-# handler reads no key outside its two lists
 KINDS = {
-    "measure": (_run_measure, ("matrix", "p"), ("weight",)),
-    "verify": (_run_verify, ("matrix", "p", "rate"), ("overshoot", "t_span", "step", "pairs", "radius")),
-    "subspace": (_run_subspace, ("matrix", "projection", "p"), ("tol", "samples", "radius")),
-    "manifold": (_run_manifold, ("system",), ("omega", "mu", "tol")),
-    "couple": (_run_couple, ("blocks", "coupling"), ()),
-    "pde-rd": (
-        _run_pde_rd,
-        ("n", "bc", "alpha", "t_span"),
-        ("reaction", "u0", "h_t", "length", "claimed_rate"),
-    ),
-    "pde-claw": (_run_pde_claw, ("n", "flux", "t_span"), ("amplitude", "h_t", "tol", "length")),
-    "poisson": (_run_poisson, ("n", "forcing"), ("bc", "tol", "u0")),
-    "regress": (_run_regress, ("p", "features", "targets", "alpha", "steps"), ("u0", "tol")),
-    "symmetry": (_run_symmetry, ("matrix", "transform"), ("p", "tol", "samples", "radius")),
+    "measure": _run_measure,
+    "verify": _run_verify,
+    "subspace": _run_subspace,
+    "manifold": _run_manifold,
+    "couple": _run_couple,
+    "pde-rd": _run_pde_rd,
+    "pde-claw": _run_pde_claw,
+    "poisson": _run_poisson,
+    "regress": _run_regress,
+    "symmetry": _run_symmetry,
 }
+_OPTIONS = {"flux": _FLUXES, "forcing": _FORCINGS}
+
+USAGE = f"""usage: sipkit run <scenario.json> [--out DIR] [--seed N]
+       sipkit validate <scenario.json>
+scenario kinds: {' '.join(KINDS)}"""
 
 
 # -------------------------------------------------------------- dispatch
 
 
-def _key_problems(kind: str, params: dict) -> str:
-    """Missing required and unknown parameter keys of a scenario, as one
-    message ('' when there are none)."""
-    _, required, optional = KINDS[kind]
-    missing = [k for k in required if k not in params]
-    unknown = sorted(str(k) for k in params if k not in required and k not in optional)
-    problems = []
-    if missing:
-        problems.append(f"missing keys: {', '.join(missing)}")
-    if unknown:
-        problems.append(f"unknown keys: {', '.join(unknown)}")
-    return "; ".join(problems)
+def parameter_keys(fn):
+    """(required, optional) keyword-only parameter names of a handler or of
+    an option entry: those without a default and those with one."""
+    import inspect  # loaded already: dataclasses imports it
+
+    kw = [q for q in inspect.signature(fn).parameters.values() if q.kind is q.KEYWORD_ONLY]
+    required = tuple(q.name for q in kw if q.default is q.empty)
+    return required, tuple(q.name for q in kw if q.name not in required)
+
+
+def _key_problems(fn, keys, label="") -> list:
+    """Messages naming fn's required keywords missing from keys and the keys
+    that are none of fn's keywords."""
+    required, optional = parameter_keys(fn)
+    missing = ", ".join(k for k in required if k not in keys)
+    unknown = ", ".join(sorted(str(k) for k in keys if k not in required + optional))
+    return [f"{what} {label}keys: {ks}" for what, ks in (("missing", missing), ("unknown", unknown)) if ks]
 
 
 def _fail(message, code=1) -> int:
@@ -426,8 +421,8 @@ def _fail(message, code=1) -> int:
 
 def _checked_scenario(path):
     """(document, 0) for a scenario object of a known kind, a parameter
-    object with the right keys and no non-string output_dir; otherwise
-    (None, exit code) after printing why: 64 for an unknown kind, else 1."""
+    object with the right keys and option keys, and no non-string output_dir;
+    otherwise (None, exit code) after printing why: 64 for an unknown kind, else 1."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -443,9 +438,13 @@ def _checked_scenario(path):
         return None, _fail("scenario invalid: parameters must be a JSON object")
     if not isinstance(doc.get("output_dir", "."), str):
         return None, _fail("scenario invalid: output_dir must be a string")
-    problems = _key_problems(kind, params)
+    problems = _key_problems(KINDS[kind], params)
+    for key, value in params.items():  # an unknown option name is refused by run
+        if key in _OPTIONS and isinstance(value, dict) and str(value.get("name")) in _OPTIONS[key]:
+            _, entry, options = _named_option(_OPTIONS[key], key, value)
+            problems += _key_problems(entry, options, f"{key} ")
     if problems:
-        return None, _fail(f"scenario invalid: {problems}")
+        return None, _fail(f"scenario invalid: {'; '.join(problems)}")
     return doc, 0
 
 
@@ -475,7 +474,7 @@ def run_scenario(path, out_override=None, seed_override=None) -> int:
 
     started = time.perf_counter()
     try:
-        results, series, passed = KINDS[kind][0](params, seed, outdir)
+        results, series, passed = KINDS[kind](seed, outdir, **params)
     except SipkitError as exc:
         return _fail(f"error running {kind} scenario: {exc}")
     except Exception as exc:  # malformed parameter payloads land here

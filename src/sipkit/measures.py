@@ -96,8 +96,8 @@ class Box:
         hi = np.asarray(self.hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DimensionError("box corners must be matching 1-d tuples")
-        if np.any(hi <= lo):
-            raise DegenerateArgumentError("box must have positive extent")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(hi > lo)):
+            raise DegenerateArgumentError("box must have finite corners and positive extent")
         object.__setattr__(self, "lo", tuple(lo))
         object.__setattr__(self, "hi", tuple(hi))
 
@@ -118,15 +118,34 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Sphere:
-    """Points on the sphere surface of the given radius."""
+class _Round:
+    """A center, a nonempty finite 1-d vector, and a finite positive radius."""
 
     center: tuple
     radius: float
 
+    def __post_init__(self):
+        c = np.asarray(self.center, dtype=float)
+        if c.ndim != 1 or c.size == 0:
+            raise DimensionError("center must be a nonempty 1-d vector")
+        r = float(self.radius)
+        if not (np.all(np.isfinite(c)) and math.isfinite(r) and r > 0.0):
+            raise DegenerateArgumentError("center must be finite and radius finite and positive")
+        object.__setattr__(self, "center", tuple(c))
+        object.__setattr__(self, "radius", r)
+
     @property
     def dim(self):
         return len(self.center)
+
+    @property
+    def scale(self):
+        return self.radius
+
+
+@dataclass(frozen=True)
+class Sphere(_Round):
+    """Points on the sphere surface of the given radius."""
 
     def draw(self, rng, count):
         g = rng.normal(size=(count, self.dim))
@@ -145,21 +164,10 @@ class Sphere:
         r[at_center] = 1.0
         return (c + self.radius * d / r).reshape(np.shape(x))
 
-    @property
-    def scale(self):
-        return float(self.radius)
-
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(_Round):
     """Points inside the ball (uniform in volume)."""
-
-    center: tuple
-    radius: float
-
-    @property
-    def dim(self):
-        return len(self.center)
 
     def draw(self, rng, count):
         g = rng.normal(size=(count, self.dim))
@@ -175,10 +183,6 @@ class Ball:
         r = np.linalg.norm(d, axis=-1, keepdims=True)
         out = r > self.radius
         return np.where(out, c + self.radius * d / np.where(out, r, 1.0), x)
-
-    @property
-    def scale(self):
-        return float(self.radius)
 
 
 @dataclass(frozen=True)
@@ -216,6 +220,10 @@ class DomainSampler:
     count: int = 100
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.count >= 1:
+            raise DegenerateArgumentError(f"sampler count must be at least 1, got {self.count!r}")
+
     def points(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         return self.region.draw(rng, self.count)
@@ -223,7 +231,7 @@ class DomainSampler:
     def pairs(self):
         rng = np.random.default_rng((self.seed, 1))
         a = self.region.draw(rng, self.count)
-        if isinstance(self.region, Points):  # each listed point with the next one
+        if self.region.scale == 0:  # a point list: each listed point with the next one
             b = self.region.draw(rng, self.count, start=1)
         else:
             b = self.region.draw(rng, self.count)
@@ -438,7 +446,7 @@ def _sampled_sup(objective_rows, starts, step, k, iters=50, project=None, times=
 
 def _region_ascent(region, k):
     """(step, starts) of the ascents on a region: 5% of its scale from the
-    k best sweeps; none on a region of scale 0, such as a point list."""
+    k best sweeps; none on a point list, the one region of scale 0."""
     return 0.05 * max(region.scale, 1e-6), k if region.scale > 0 else 0
 
 

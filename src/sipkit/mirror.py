@@ -205,11 +205,10 @@ def mirror_descent_run(
     alpha: float,
     steps: int,
     u0,
-    h: float = 1.0,
     theta=None,
     rate_checkpoints: int = 5,
 ) -> Tuple[np.ndarray, MirrorReport]:
-    """Explicit Euler on the dual flow u* <- u* - alpha*h*DL(u).
+    """Explicit Euler on the dual flow u* <- u* - alpha*DL(u).
 
     Reports the risk trajectory, a fitted decay rate, and the worst sampled
     rate of -H along the visited path measured in the conjugate-exponent
@@ -218,14 +217,12 @@ def mirror_descent_run(
     aborted.
     """
     alpha = float(alpha)
-    h = float(h)
-    if alpha < 0.0 or h <= 0.0:
-        raise DegenerateArgumentError("step factors must satisfy alpha >= 0, h > 0")
+    if alpha < 0.0:
+        raise DegenerateArgumentError("step alpha must be nonnegative")
     steps = int(steps)
     if steps < 0:
         raise DegenerateArgumentError("steps must be nonnegative")
     u = as_vector(u0)
-    step = alpha * h
     p = prob.p
 
     checkpoints = np.unique(np.linspace(0, steps, num=min(rate_checkpoints, steps + 1), dtype=int))
@@ -253,8 +250,8 @@ def mirror_descent_run(
             snapshots[k] = u.copy()
         if k == steps:
             break
-        if step > 0.0:
-            ustar = ustar - step * grad
+        if alpha > 0.0:
+            ustar = ustar - alpha * grad
             u = inverse_duality(ustar, p)
 
     q = conjugate_exponent(p)
@@ -272,14 +269,13 @@ def mirror_descent_run(
         if (lmax > 0.0).any():
             threshold = float((2.0 / lmax[lmax > 0.0]).min())
 
-    times = step * np.arange(steps + 1) if step > 0 else np.arange(steps + 1, dtype=float)
+    times = alpha * np.arange(steps + 1) if alpha > 0 else np.arange(steps + 1, dtype=float)
     fitted = _fit_risk_decay(times, risks)
-    _, gfinal = _risk_grad_from(D, y, prob.loss, u)
     note = "risk increased over 10 consecutive steps; reduce the step" if warned else ""
     report = MirrorReport(
         risks=risks,
         final_risk=float(risks[-1]),
-        gradient_norm=float(np.linalg.norm(gfinal)),
+        gradient_norm=float(np.linalg.norm(grad)),  # the last pass's, at the final state
         fitted_rate=fitted,
         path_rate=worst,
         stability_threshold=float(threshold),

@@ -286,8 +286,9 @@ class DemeanedRegion:
     def scale(self):
         return self.region.scale
 
-    def draw(self, rng, count):
-        pts = self.region.draw(rng, count)
+    def draw(self, rng, count, **start):
+        """Mean-removed draws; a point list's start passes through."""
+        pts = self.region.draw(rng, count, **start)
         return pts - pts.mean(axis=1, keepdims=True)
 
     def project(self, x):

@@ -67,6 +67,23 @@ def test_measure_frozen_example(tmp_path):
     assert rep["passed"] is True
 
 
+def test_measure_with_weight_rates_the_weighted_norm(tmp_path):
+    from sipkit.measures import operator_rate
+    from sipkit.spaces import NormSpec
+
+    A, W = [[-2, 1], [0, -3]], [[1, 0], [0, 4]]
+    code, rep, _ = run_scen(
+        tmp_path, "mw", {"kind": "measure", "parameters": {"matrix": A, "p": 2, "weight": W}}
+    )
+    assert code == 0
+    value = rep["results"]["lognorm"]["value"]
+    # mu_2(W A W^-1) with W A W^-1 = [[-2, 1/4], [0, -3]]
+    assert value == pytest.approx(-2.5 + math.sqrt(0.25 + 1.0 / 64.0), rel=1e-12)
+    assert value == operator_rate(np.array(A, float), NormSpec(p=2, weight=np.array(W, float))).value
+    _, plain, _ = run_scen(tmp_path, "mp", {"kind": "measure", "parameters": {"matrix": A, "p": 2}})
+    assert plain["results"]["lognorm"]["value"] > value + 0.1
+
+
 def test_verify_pass_and_overclaim(tmp_path):
     base = {"matrix": [[-2, 1], [0, -3]], "p": 2}
     code, rep, _ = run_scen(
@@ -168,6 +185,35 @@ def test_poisson_exit_codes(tmp_path):
     )
     assert code == 2
     assert "refused" in rep["results"]
+
+
+def test_poisson_starts_from_its_u0(tmp_path):
+    base = {"n": 16, "forcing": "constant"}
+    code, rep, out = run_scen(tmp_path, "p0", {"kind": "poisson", "parameters": base})
+    assert code == 0
+    solution = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)[:, 1]
+    # started at the solution, the solve has nothing left to do
+    code, rep_u0, out_u0 = run_scen(
+        tmp_path, "p-u0", {"kind": "poisson", "parameters": {**base, "u0": solution.tolist()}}
+    )
+    assert code == 0
+    residuals = np.loadtxt(out_u0 / "residual.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert residuals.shape == (1, 2)
+    assert residuals[0, 1] == rep["results"]["residual"] == rep_u0["results"]["residual"]
+    first = np.loadtxt(out / "residual.csv", delimiter=",", skiprows=1)[0, 1]
+    code, _, out_r = run_scen(
+        tmp_path, "p-rand", {"kind": "poisson", "parameters": {**base, "u0": "random"}}, seed=5
+    )
+    assert code == 0
+    assert np.loadtxt(out_r / "residual.csv", delimiter=",", skiprows=1)[0, 1] != first
+
+
+@pytest.mark.parametrize("u0", ["sin", "zeros", [0.0, 1.0], 5, {"name": "random"}, True])
+def test_poisson_refuses_other_u0(tmp_path, capsys, u0):
+    doc = {"kind": "poisson", "parameters": {"n": 16, "forcing": "constant", "u0": u0}}
+    code, rep, _ = run_scen(tmp_path, "p-bad", doc)
+    assert (code, rep) == (1, None)
+    assert 'u0 must be "random" or an array of 16 numbers' in capsys.readouterr().err
 
 
 def test_regress_exit_codes(tmp_path):
@@ -366,24 +412,34 @@ def test_unknown_parameter_key_is_named_and_refused(tmp_path, capsys):
     assert "missing keys: matrix; unknown keys: wieght" in capsys.readouterr().err
 
 
-class _RecordingParams(dict):
-    """A parameter dict that remembers every key a handler looks up."""
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        (
+            "pde-claw",
+            {"n": 16, "flux": {"name": "advection", "sped": 3}, "t_span": [0.0, 0.01]},
+            "unknown flux keys: sped",
+        ),
+        ("poisson", {"n": 16, "forcing": {"name": "constant", "valu": 5}}, "unknown forcing keys: valu"),
+        ("poisson", {"n": 16, "forcing": {"name": "tanh", "value": 5}}, "unknown forcing keys: value"),
+    ],
+    ids=["flux-speed", "forcing-value", "tanh-value"],
+)
+def test_misspelled_option_key_is_named_and_refused(tmp_path, capsys, kind, params, message):
+    f = write_scenario(tmp_path, "opt", {"kind": kind, "parameters": params})
+    assert main(["validate", str(f)]) == 1
+    assert message in capsys.readouterr().err
+    out = tmp_path / "opt-out"
+    assert main(["run", str(f), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.seen = set()
 
-    def __getitem__(self, key):
-        self.seen.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.seen.add(key)
-        return super().get(key, default)
-
-    def __contains__(self, key):
-        self.seen.add(key)
-        return super().__contains__(key)
+def test_unknown_option_name_is_refused_by_run(tmp_path, capsys):
+    params = {"n": 16, "flux": {"name": "advektion", "speed": 3}, "t_span": [0.0, 0.01]}
+    code, rep, _ = run_scen(tmp_path, "name", {"kind": "pde-claw", "parameters": params})
+    assert (code, rep) == (1, None)
+    assert "unknown flux 'advektion'; known: advection, burgers" in capsys.readouterr().err
 
 
 def _benchmark_scenarios():
@@ -397,23 +453,23 @@ def _benchmark_scenarios():
 
 
 def test_benchmark_scenarios_validate_and_read_only_listed_keys(tmp_path):
-    from sipkit.cli import KINDS
+    from sipkit.cli import KINDS, parameter_keys
 
     scenarios = _benchmark_scenarios()
     assert sorted(kind for kind, _ in scenarios) == sorted(KINDS)
     for kind, params in scenarios:
         f = write_scenario(tmp_path, kind, {"kind": kind, "parameters": params})
         assert main(["validate", str(f)]) == 0, kind
-        handler, required, optional = KINDS[kind]
-        recorded = _RecordingParams(json.loads(json.dumps(params)))
-        handler(recorded, 0, tmp_path)
-        assert recorded.seen <= set(required) | set(optional), kind
+        required, optional = parameter_keys(KINDS[kind])
+        # a handler receives its parameters as keywords, so only declared ones
+        KINDS[kind](0, tmp_path, **json.loads(json.dumps(params)))
+        assert set(params) <= set(required) | set(optional), kind
 
 
 def test_readme_parameter_keys_match_the_kind_table(tmp_path):
     import re
 
-    from sipkit.cli import KINDS
+    from sipkit.cli import KINDS, parameter_keys
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("Parameter keys per kind")[1].split("\n## ")[0]
@@ -423,7 +479,7 @@ def test_readme_parameter_keys_match_the_kind_table(tmp_path):
         listed[names[0]] = {k for k in names[1:] if re.fullmatch(r"[a-z_0-9]+", k)}
     assert set(listed) == set(KINDS)
     for kind, keys in listed.items():
-        _, required, optional = KINDS[kind]
+        required, optional = parameter_keys(KINDS[kind])
         assert keys == set(required) | set(optional), kind
         f = write_scenario(tmp_path, kind, {"kind": kind, "parameters": dict.fromkeys(keys, 1)})
         assert main(["validate", str(f)]) == 0, kind

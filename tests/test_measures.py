@@ -488,6 +488,44 @@ def test_sphere_ball_and_point_regions():
     assert np.array_equal(drawn[0], [0.0, 1.0]) and np.array_equal(drawn[2], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("region", [Ball, Sphere])
+@pytest.mark.parametrize(
+    "center, radius, error",
+    [
+        ((0.0, 0.0), -1.0, DegenerateArgumentError),
+        ((0.0, 0.0), 0.0, DegenerateArgumentError),
+        ((0.0, 0.0), math.inf, DegenerateArgumentError),
+        ((0.0, 0.0), math.nan, DegenerateArgumentError),
+        ((0.0, math.inf), 1.0, DegenerateArgumentError),
+        ((0.0, math.nan), 1.0, DegenerateArgumentError),
+        ((), 1.0, DimensionError),
+        (((0.0, 0.0),), 1.0, DimensionError),
+        (0.0, 1.0, DimensionError),
+    ],
+)
+def test_round_regions_refuse_bad_center_or_radius(region, center, radius, error):
+    with pytest.raises(error):
+        region(center, radius)
+
+
+def test_round_regions_keep_their_values():
+    for region in (Ball(np.array([1, -2]), 3), Sphere([1.0, -2.0], 3.0)):
+        assert (region.center, region.radius, region.scale, region.dim) == ((1.0, -2.0), 3.0, 3.0, 2)
+    assert Ball((0.0, 1.0), 2.0) == Ball(np.array([0.0, 1.0]), 2)
+
+
+@pytest.mark.parametrize("hi", [(1.0, math.nan), (1.0, math.inf), (1.0, 0.0)])
+def test_box_refuses_corners_that_are_not_finite_or_ordered(hi):
+    with pytest.raises(DegenerateArgumentError):
+        Box((0.0, 0.0), hi)
+
+
+@pytest.mark.parametrize("count", [0, -3, 0.5])
+def test_sampler_refuses_a_count_below_one(count):
+    with pytest.raises(DegenerateArgumentError, match="count"):
+        DomainSampler(Box((0.0,), (1.0,)), count=count)
+
+
 def test_pairs_never_coincide():
     samp = DomainSampler(Points(((1.0, 2.0),)), count=8, seed=0)
     a, b = samp.pairs()

@@ -20,6 +20,7 @@ from sipkit.errors import (
 from sipkit.flows import integrate, overshoot_fit
 from sipkit.measures import Ball, DomainSampler, Points, VectorField
 from sipkit.pdelab import (
+    DemeanedRegion,
     Grid1D,
     Grid2D,
     SobolevSpec,
@@ -91,6 +92,18 @@ def test_difference_operator_shapes_and_composition():
         difference_operator(g, 5)
     with pytest.raises(UnsupportedNormError):
         difference_operator(Grid2D(4, "dirichlet"), 2)
+
+
+@pytest.mark.parametrize("bc", ("dirichlet", "neumann", "periodic"))
+def test_grid2d_difference_operator_stacks_the_axis_differences(bc):
+    g = Grid2D((4, 6), bc, (0.8, 1.3))
+    gx, gy = g.axes
+    Dx, Dy = difference_operator(gx), difference_operator(gy)
+    D = difference_operator(g)
+    assert D.shape == (Dx.shape[0] * 6 + 4 * Dy.shape[0], 24)
+    U = np.random.default_rng(2).normal(size=(4, 6))
+    assert np.allclose(D @ U.ravel(), np.concatenate([(Dx @ U).ravel(), (U @ Dy.T).ravel()]), rtol=0.0, atol=1e-12)
+    assert np.allclose(-(D.T @ D), build_laplacian(g), rtol=0.0, atol=1e-9)
 
 
 def forward_stencil(m, k, h):
@@ -506,6 +519,23 @@ def test_sobolev_linear_mass_zero_excludes_the_constant_mode(p):
     assert r == sobolev_rate(plain, g, sob, sampler, mass_zero=True)
 
 
+def test_demeaned_point_list_pairs_each_point_with_the_next():
+    # a wrapped point list is still a point list: each listed point, mean
+    # removed, is paired with the next one rather than nudged off itself
+    pts = np.random.default_rng(7).normal(size=(4, 3))
+    sampler = DomainSampler(DemeanedRegion(Points(pts)), count=4, seed=0)
+    a, b = sampler.pairs()
+    want = demean(pts)
+    assert np.array_equal(a, want) and np.array_equal(b, want[[1, 2, 3, 0]])
+    assert np.min(np.linalg.norm(a - b, axis=1)) > 0.1
+    A = np.random.default_rng(8).normal(size=(3, 3))
+    field = VectorField(lambda t, u: u @ A.T, 3)
+    r = sobolev_rate(field, Grid1D(3, "periodic"), SobolevSpec(k=0), sampler, mass_zero=True)
+    quotients = [(a_i - b_i) @ A @ (a_i - b_i) / ((a_i - b_i) @ (a_i - b_i)) for a_i, b_i in zip(a, b)]
+    assert (r.samples, r.ascent_iters) == (4, 0)
+    assert r.value == pytest.approx(max(quotients), rel=1e-12)
+
+
 def test_sobolev_shift_property():
     g = Grid1D(48, "periodic")
     L = build_laplacian(g)
@@ -724,6 +754,40 @@ def test_fixed_point_forced_expanding_solve_ends():
     assert np.all(np.diff(rep.times) > 0.0)
     assert rep.times[-1] == pytest.approx(50.0)
     assert rep.residuals[-1] > rep.residuals[0]
+
+
+def test_fixed_point_halves_and_retries_a_rejected_step(monkeypatch):
+    import sipkit.pdelab as pdelab
+
+    g = Grid1D(16, "dirichlet")
+    F = VectorField.linear(build_laplacian(g), b=np.ones(16))
+    h_t = 0.2 * g.h**2
+    real = pdelab._implicit_step
+    tried = []
+
+    def capped(F, u, f, h):  # a step longer than 4 h_t leaves the finite range
+        tried.append(h)
+        return None if h > 4.0 * h_t * (1.0 + 1e-12) else real(F, u, f, h)
+
+    monkeypatch.setattr(pdelab, "_implicit_step", capped)
+    u, rep = fixed_point_solve(F, g, tol=1e-8)
+    assert rep.converged
+    assert np.max(np.diff(rep.times)) == pytest.approx(4.0 * h_t)
+    assert max(tried) == pytest.approx(8.0 * h_t)  # rejected, then retried at half
+    assert np.max(np.abs(u - np.linalg.solve(build_laplacian(g), -np.ones(16)))) <= 1e-8
+
+
+def test_fixed_point_ends_after_the_last_halving(monkeypatch):
+    import sipkit.pdelab as pdelab
+
+    tried = []
+    monkeypatch.setattr(pdelab, "_implicit_step", lambda F, u, f, h: tried.append(h))
+    g = Grid1D(16, "dirichlet")
+    u0 = np.linspace(-1.0, 1.0, 16)
+    u, rep = fixed_point_solve(VectorField.linear(build_laplacian(g)), g, u0=u0, h_t=1e-3)
+    assert tried == [1e-3 / 2.0**k for k in range(pdelab._MAX_HALVINGS + 1)]
+    assert not rep.converged
+    assert np.array_equal(rep.times, [0.0]) and np.array_equal(u, u0)
 
 
 def test_fixed_point_blowup_and_bad_step_raise():

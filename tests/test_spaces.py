@@ -247,6 +247,24 @@ def test_row_kernel_matches_gateaux_reference():
             np.testing.assert_allclose(got_minus, want_minus, rtol=1e-6, atol=1e-6)
 
 
+@pytest.mark.parametrize("p", P_GRID)
+def test_quotient_rows_are_minus_inf_below_the_floor(p):
+    from sipkit.spaces import _quotient_rows
+
+    rng = np.random.default_rng(37)
+    U, W = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    U[1] = 0.0
+    U[3] *= 1e-9
+    spec = spec_of(p)
+    got = _quotient_rows(U, W, spec, 1e-6)
+    assert got[1] == got[3] == -math.inf
+    for i in (0, 2, 4):
+        assert got[i] == pytest.approx(sip(U[i], W[i], spec) / norm(U[i], spec) ** 2, rel=1e-12)
+    # the rows above the floor get what they get without the small ones
+    keep = [0, 2, 4]
+    assert np.array_equal(got[keep], _quotient_rows(U[keep], W[keep], spec, 1e-6))
+
+
 def test_row_kernels_one_sided_cases():
     # p=1: a zero coordinate of u contributes |w_i| from the right
     assert sip_rows([[1.0, 0.0]], [[0.0, -2.0]], spec_of(1.0))[0] == pytest.approx(2.0)
