@@ -15,9 +15,11 @@ otherwise by one sweep and one lockstep ascent for all B; operator_rate is
 its B = 1 case.  The closed forms take every p=2 norm and every weighted
 one: they rate spec.conjugate(A) = R A R^-1, with the spec's cached
 factor R (a stacked l2 norm ||Su||_2 is ||Ru||_2 for S = QR).
-Every exact matrix RateEstimate (an affine field's rates, pdelab's Sobolev
-rates, the invariant compressions) comes from _operator_rates.  The
-quotients come from the fused row kernel spaces._quotient_rows.
+Every exact matrix RateEstimate and every closed inner log norm comes
+from _operator_rates, the one home of the closed forms: among them the
+seminorm compressions R A G (R G = I) of the invariant subspaces, pdelab's
+Sobolev, pattern and conservation rates, and mirror's step threshold.
+The quotients come from the fused row kernel spaces._quotient_rows.
 """
 
 from __future__ import annotations
@@ -187,12 +189,16 @@ class Ball(_Round):
 
 @dataclass(frozen=True)
 class Points:
-    """An explicit probe list; sampling cycles through it."""
+    """A nonempty list of finite probe points; sampling cycles through it."""
 
     points: tuple
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.points, dtype=float))
+        if arr.ndim != 2 or arr.size == 0:
+            raise DimensionError(f"points must be a nonempty list of nonempty vectors, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise DegenerateArgumentError("points must be finite")
         object.__setattr__(self, "points", tuple(map(tuple, arr)))
 
     @property
@@ -473,19 +479,6 @@ def _as_square(A):
     return A
 
 
-def _closed_lognorms(As, p):
-    """Closed-form log norms of every matrix of a (B, n, n) stack.
-
-    p=1 runs over columns, p=inf over rows, p=2 is the largest eigenvalue
-    of the symmetric (Hermitian) part, one stacked eigvalsh.
-    """
-    if p == 2.0:
-        return np.linalg.eigvalsh((As + As.conj().transpose(0, 2, 1)) / 2.0)[:, -1]
-    d = np.diagonal(As, axis1=1, axis2=2)
-    offdiag = np.abs(As).sum(axis=1 if p == 1.0 else 2) - np.abs(d)
-    return (np.real(d) + offdiag).max(axis=1)
-
-
 def lognorm_closed(A, p) -> RateEstimate:
     """Closed-form log norm (matrix measure) for p in {1, 2, inf}.
 
@@ -570,7 +563,12 @@ def _operator_rates(As, spec: NormSpec = NormSpec(), samples=200, seed=0) -> lis
     if spec.p == 2.0 or (not spec.stack and spec.p in (1.0, math.inf)):
         kind = EIGEN if spec.p == 2.0 else EXACT
         note = "" if spec.transform is None else "stack-conjugated" if spec.stack else "weight-conjugated"
-        values = _closed_lognorms(spec.conjugate(As), spec.p)
+        Bs = spec.conjugate(As)
+        if spec.p == 2.0:  # top eigenvalue of the symmetric (Hermitian) part
+            values = np.linalg.eigvalsh((Bs + Bs.conj().transpose(0, 2, 1)) / 2.0)[:, -1]
+        else:  # p=1 runs over columns, p=inf over rows
+            d = np.diagonal(Bs, axis1=1, axis2=2)
+            values = (np.real(d) + (np.abs(Bs).sum(axis=1 if spec.p == 1.0 else 2) - np.abs(d))).max(axis=1)
         return [RateEstimate(float(v), kind, note=note) for v in values]
     # sampled numerical range in the (possibly weighted/stacked) norm
     B, n, _ = As.shape
@@ -601,8 +599,8 @@ def operator_rate(A, spec: NormSpec = NormSpec(), samples=200, seed=0) -> RateEs
 # --------------------------------------------------------- rate functionals
 
 
-def _inner_rates(mats, spec, seed):
-    """Values of the 64-probe inner log norms of a list of matrices, one batch."""
+def _inner_rates(mats, spec: NormSpec = NormSpec(), seed=0):
+    """Values of the inner log norms of matrices, one _operator_rates batch (64 probes off the closed forms)."""
     return np.array([est.value for est in _operator_rates(np.array(mats), spec, samples=64, seed=seed)])
 
 

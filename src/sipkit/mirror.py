@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateArgumentError, DimensionError, UnsupportedNormError
 from .flows import overshoot_fit
-from .measures import RateEstimate, _closed_lognorms, _fd_jacobian, _operator_rates
+from .measures import RateEstimate, _fd_jacobian, _inner_rates, _operator_rates
 from .spaces import NormSpec, as_vector, conjugate_exponent
 
 ROUNDTRIP_TOL = 1e-10
@@ -265,7 +265,7 @@ def mirror_descent_run(
     if snapshots:
         Hs = np.array([_dual_hessian(us, prob) for us in snapshots.values()])
         worst = max(_operator_rates(-Hs, dual_spec), key=lambda est: est.value)
-        lmax = _closed_lognorms(Hs, 2.0)
+        lmax = _inner_rates(Hs)
         if (lmax > 0.0).any():
             threshold = float((2.0 / lmax[lmax > 0.0]).min())
 

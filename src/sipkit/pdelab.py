@@ -39,12 +39,11 @@ from .measures import (
     DomainSampler,
     RateEstimate,
     VectorField,
-    _closed_lognorms,
     _fd,
+    _inner_rates,
     _operator_rates,
     differential_rate,
     integral_rate,
-    operator_rate,
 )
 from .spaces import NormSpec, norm
 
@@ -410,7 +409,7 @@ def _suppression_report(alpha, f, grid, sampler, times, t_span, h_t, tol):
     C = np.repeat(X.mean(axis=1, keepdims=True), N, axis=1)
     inv = max(float(np.linalg.norm(r)) for t in times for r in demean(field(t, C)))
     Js = np.array([field.jacobian(t, u) for t in times for u in X] + [L])
-    rates = _closed_lognorms(V.T @ Js @ V, 2.0)
+    rates = _inner_rates(V.T @ Js @ V)
     m_f, m_lap = float(rates[:-1].max()), float(rates[-1])
     cond_impl = m_f < alpha * abs(m_lap)
     cond_unscaled = m_f < m_lap  # no alpha scaling; dimension-inconsistent, logged only
@@ -473,7 +472,7 @@ def _excitation_report(alphas, f, grid, witness, times, t_span, h_t, tol):
     # the synchronized (sum) and the anti-synchronized (pattern) modes
     Vs = np.array([np.vstack([Vz, Vz]), np.vstack([Vz, -Vz])]) / math.sqrt(2.0)
     modes = (Vs.transpose(0, 2, 1) @ Js[:, None] @ Vs).reshape(-1, N - 1, N - 1)
-    sum_rate, diff_rate = _closed_lognorms(modes, 2.0).reshape(-1, 2).max(axis=0).tolist()
+    sum_rate, diff_rate = _inner_rates(modes).reshape(-1, 2).max(axis=0).tolist()
 
     if h_t is None:
         h_t = 0.9 * _stability_limit(grid, (a1, a2))
@@ -569,17 +568,17 @@ def sobolev_rate(
     """Rate of F in the stacked difference norm of order k: integral_rate
     in that norm, so operator_rate of an affine F's matrix (exact at p=2).
 
-    mass_zero restricts to mean-zero states: for an affine F at p=2, by
-    operator_rate of B = (SV)^+ S A V, S = [I; D_1; ...; D_k], under the
-    stack (D_j V) in the coordinates w = V^T u of mass_zero_basis V;
+    mass_zero restricts to mean-zero states u = V w, V = mass_zero_basis:
+    for an affine F at p=2 the rate is the log norm of Q_s^T S A V R_s^-1,
+    S = [I; D_1; ...; D_k] and S V = Q_s R_s (||S V w||_2 = ||R_s w||_2);
     otherwise by demeaned pairs, an affine F's matrix dropped.
     """
     spec = sob.norm_spec(grid)
     if mass_zero and F.matrix is not None and sob.p == 2.0:
         V = mass_zero_basis(F.dim)
         S = np.eye(F.dim) if spec.transform is None else spec.transform
-        B = np.linalg.lstsq(S @ V, S @ F.matrix @ V, rcond=None)[0]
-        return operator_rate(B, NormSpec(stack=tuple(D @ V for D in spec.stack)))
+        Q_s, R_s = np.linalg.qr(S @ V)
+        return _operator_rates((Q_s.T @ S @ F.matrix @ V @ np.linalg.inv(R_s))[None])[0]
     if mass_zero:
         if sampler is None:
             raise DegenerateArgumentError("mass-zero sampled rates need a DomainSampler")
@@ -700,13 +699,15 @@ def fixed_point_solve(
     ball, seed 0), so operator_rate of an affine F's matrix; a
     nonnegative rate refuses the certificate (force=True steps anyway).
     Each pseudo-time step is backward Euler, v = u + h F(v), solved by
-    Newton.  When c < 0 every such step shrinks the residual ||F|| by
-    1/(1 - h c) whatever h is, so the step starts at h_t (default
-    0.2 h^2 for grid spacing h), doubles after each accepted step (the
-    iteration turns into Newton's method on F = 0), and is halved and
-    retried when a step gives a larger residual or leaves the finite
-    range.  Forced solves with c >= 0 take fixed steps of h_t and raise
-    DivergenceError once the state passes the blow-up sentinel.
+    Newton.  If c < 0 bounds the rate from above (an affine F), every
+    step shrinks the residual ||F|| by 1/(1 - h c) whatever h is; for any
+    other F, c is a sampled lower bound and the halving rule enforces the
+    decrease.  The step starts at h_t (default 0.2 h^2 for grid spacing
+    h), doubles after each accepted step (the iteration turns into
+    Newton's method on F = 0), and is halved and retried when a step gives
+    a larger residual or leaves the finite range.  Forced solves with
+    c >= 0 take fixed steps of h_t and raise DivergenceError once the
+    state passes the blow-up sentinel.
     Pseudo-time stops at max_t.
 
     Returns (u*, report).  The report holds the pseudo-times and

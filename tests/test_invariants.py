@@ -142,6 +142,62 @@ def test_subspace_coordinate_compression_p1_pinf():
             assert abs(rep.rate.value - want) < 1e-12
 
 
+def _transverse_tanh_field(rng, keep, normal):
+    """f = keep (-y1 + tanh(C y1)) + normal (K y2 + 0.8 tanh(N y2) (1 + 0.5 sin sum y1)),
+    y1 = keep^T u and y2 = normal^T u, for orthonormal column blocks keep
+    and normal; range(keep) is invariant.  Returns the field (finite-
+    difference Jacobian) and the exact transverse block u -> d(y2')/d(y2)."""
+    k, m = keep.shape[1], normal.shape[1]
+    K = -np.eye(m) + 0.9 * rng.normal(size=(m, m)) / math.sqrt(m)
+    N = rng.normal(size=(m, m)) / math.sqrt(m)
+    C = rng.normal(size=(k, k))
+
+    def g(u):
+        y1, y2 = keep.T @ u, normal.T @ u
+        y2_dot = K @ y2 + 0.8 * np.tanh(N @ y2) * (1.0 + 0.5 * np.sin(y1.sum()))
+        return keep @ (-y1 + np.tanh(C @ y1)) + normal @ y2_dot
+
+    def transverse(u):
+        y1, y2 = keep.T @ u, normal.T @ u
+        return K + 0.8 * (1.0 + 0.5 * np.sin(y1.sum())) * (1.0 - np.tanh(N @ y2) ** 2)[:, None] * N
+
+    return VectorField.autonomous(g, keep.shape[0]), transverse
+
+
+def test_subspace_nonlinear_p2_rate_bounds_every_sweep_point():
+    # the transverse rate at u is the top eigenvalue of sym(W^T J(u) W);
+    # 32 fixed probe directions per state miss it here, reading -0.260
+    # where one of the 40 sweep points has +0.212
+    rng = np.random.default_rng(0)
+    VW = np.linalg.qr(rng.normal(size=(10, 10)))[0]
+    V, W = VW[:, :3], VW[:, 3:]
+    f, transverse = _transverse_tanh_field(rng, V, W)
+    sampler = DomainSampler(Ball(np.zeros(10), 2.0), count=40, seed=1)
+    rep = subspace_certificate(f, SubspaceSpec(V @ V.T), sampler, NormSpec(p=2.0))
+    worst = max(np.linalg.eigvalsh((M + M.T) / 2.0)[-1] for M in map(transverse, sampler.points()))
+    assert rep.invariance_residual <= 1e-12
+    assert worst > 0.2
+    assert rep.rate.value >= worst - 1e-7
+    assert rep.rate.samples == 40
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_subspace_nonlinear_coordinate_rate_bounds_every_sweep_point(p):
+    # complement = coordinates 1 and 3: the rate at u is mu_p of J(u)[idx, idx]
+    idx, rest = [1, 3], [0, 2, 4]
+    E = np.eye(5)
+    f, transverse = _transverse_tanh_field(np.random.default_rng(0), E[:, rest], E[:, idx])
+    sampler = DomainSampler(Ball(np.zeros(5), 2.0), count=40, seed=1)
+    rep = subspace_certificate(f, SubspaceSpec(np.diag([1.0, 0.0, 1.0, 0.0, 1.0])), sampler, NormSpec(p=p))
+    assert rep.invariance_residual == 0.0
+    axis = 1 if p == math.inf else 0
+    for u in sampler.points():
+        M = transverse(u)
+        mu = (np.diag(M) + np.abs(M).sum(axis=axis) - np.abs(np.diag(M))).max()
+        assert rep.rate.value >= mu - 1e-7
+
+
 def test_subspace_projection_validation():
     with pytest.raises(DegenerateArgumentError):
         SubspaceSpec(np.array([[1.0, 1.0], [0.0, 2.0]]))

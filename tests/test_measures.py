@@ -520,6 +520,18 @@ def test_box_refuses_corners_that_are_not_finite_or_ordered(hi):
         Box((0.0, 0.0), hi)
 
 
+@pytest.mark.parametrize("points", [[], [[]], np.zeros((2, 0)), np.zeros((2, 2, 2))])
+def test_points_refuse_an_empty_list(points):
+    with pytest.raises(DimensionError):
+        Points(points)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_points_refuse_non_finite_entries(bad):
+    with pytest.raises(DegenerateArgumentError, match="finite"):
+        Points(((0.0, 1.0), (2.0, bad)))
+
+
 @pytest.mark.parametrize("count", [0, -3, 0.5])
 def test_sampler_refuses_a_count_below_one(count):
     with pytest.raises(DegenerateArgumentError, match="count"):
