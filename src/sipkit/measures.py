@@ -291,8 +291,10 @@ def _checked_value(u, out):
 class VectorField:
     """Time-varying field f(t, u) with an optional analytic Jacobian.
 
-    ``matrix`` (and optional ``offset``) mark the field as affine: the
-    rate functionals then rate the matrix itself, through operator_rate.
+    ``matrix`` (and optional ``offset``) mark the field affine: rate
+    functionals rate the matrix itself, through operator_rate, and RK4
+    steps by R(hA) (flows._step_map) once a run is long enough.  Both
+    then ignore ``fn``.
 
     Calling the field on a state u of shape (n,) evaluates fn(t, u).  An
     (m, n) stack of states returns the (m, n) stack of values: an affine

@@ -673,7 +673,7 @@ def _implicit_step(F: VectorField, u, f, h):
         except np.linalg.LinAlgError:
             return None
         v = v - dv
-        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > BLOWUP:
+        if not np.max(np.abs(v)) <= BLOWUP:  # also rejects NaN and inf
             return None
         f = F(0.0, v)
         if F.matrix is not None or np.max(np.abs(dv)) <= _NEWTON_RTOL * (1.0 + np.max(np.abs(v))):

@@ -72,6 +72,14 @@ def test_integrate_blowup_sentinel():
     assert err.value.t is not None and 0.0 < err.value.t < 5.0
 
 
+def test_integrate_rejects_a_nan_state_from_finite_field_values():
+    # the stages are finite, but 1e308 + 2 (-1e308) + 2 (1e308) is inf - inf
+    f = VectorField.autonomous(lambda u: np.array([-1e308 if u[0] > 0 else 1e308]), 1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        integrate(f, [0.0], (0.0, 0.1), 0.01)
+    assert err.value.t == pytest.approx(0.01)
+
+
 def test_variational_flow_matches_expm():
     rng = np.random.default_rng(1)
     A = rng.normal(size=(3, 3))
@@ -306,7 +314,7 @@ def test_verify_contraction_wrong_length_pair_raises_before_stepping():
     assert calls[0] == 0
 
 
-def test_verify_contraction_evaluates_affine_stack_four_times_per_step(monkeypatch):
+def test_rk4_calls_the_field_only_off_the_step_map(monkeypatch):
     calls = []
     evaluate = VectorField.__call__
 
@@ -315,10 +323,68 @@ def test_verify_contraction_evaluates_affine_stack_four_times_per_step(monkeypat
         return evaluate(self, t, u)
 
     monkeypatch.setattr(VectorField, "__call__", counted)
+    # an affine field with steps x rows >= dim is stepped by its step map
     f, rng = random_linear(4, 23)
     pairs = [(rng.normal(size=4), rng.normal(size=4)) for _ in range(3)]
     verify_contraction(f, pairs, rate=0.0, t_span=(0.0, 1.0), h=0.01)
-    assert calls == [(6, 4)] * (4 * 100)
+    g, rng = random_linear(40, 26)
+    _rk4(g, rng.normal(size=(2, 40)), 0.0, 0.2, 0.01)  # 20 steps x 2 rows = 40
+    assert calls == []
+    # below the size rule it keeps the four stages per step
+    _rk4(g, rng.normal(size=40), 0.0, 0.2, 0.01)  # 20 steps x 1 row < 40
+    integrate(f, rng.normal(size=4), (0.0, 0.02), 0.01)  # 2 steps < 4
+    assert calls == [(40,)] * (4 * 20) + [(4,)] * (4 * 2)
+    # any other field is evaluated four times per step, as one stack
+    calls.clear()
+    pairs = [(rng.normal(size=2), rng.normal(size=2)) for _ in range(2)]
+    verify_contraction(hopf_field(), pairs, rate=0.5, t_span=(0.0, 1.0), h=0.01)
+    assert calls == [(4, 2)] * (4 * 100)
+
+
+def staged(f):
+    """The same field without ``matrix``, which RK4 steps stage by stage."""
+    return VectorField(f.fn, f.dim)
+
+
+@pytest.mark.parametrize("offset", [False, True])
+def test_step_map_matches_per_stage_rk4(offset):
+    f, rng = random_linear(8, 27)
+    if not offset:
+        f = VectorField.linear(f.matrix)
+    for U in (rng.normal(size=8), rng.normal(size=(3, 8))):
+        times, states, step = _rk4(f, U, 0.0, 2.0, 0.01)
+        ref_times, ref, ref_step = _rk4(staged(f), U, 0.0, 2.0, 0.01)
+        assert np.array_equal(times, ref_times) and step == ref_step
+        # relative to the largest entry of the state at each sample
+        scale = np.abs(ref).reshape(len(ref), -1).max(axis=1)
+        gap = np.abs(states - ref).reshape(len(ref), -1).max(axis=1)
+        assert np.all(gap <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("offset", [False, True])
+def test_step_map_pair_distances_match_per_stage_across_blocks(offset):
+    # 40 starts of dimension 50 fill a block every 32 steps, so 301
+    # samples span 9 blocks and a partial last one
+    f, rng = random_linear(50, 28)
+    if not offset:
+        f = VectorField.linear(f.matrix)
+    pairs = [(rng.normal(size=50), rng.normal(size=50)) for _ in range(20)]
+    spec = NormSpec(p=1.0)
+    times, d = pair_distances(f, pairs, (0.0, 3.0), 0.01, spec)
+    ref_times, ref = pair_distances(staged(f), pairs, (0.0, 3.0), 0.01, spec)
+    assert d.shape == (301, 20) and np.array_equal(times, ref_times)
+    assert np.allclose(d, ref, rtol=1e-12, atol=0.0)
+
+
+def test_step_map_blows_up_at_the_per_stage_time():
+    f = VectorField.linear(np.diag([300.0, -1.0]))
+    pairs = [([0.0, 1.0], [0.0, -1.0]), ([1.0, 0.0], [0.0, 0.0])]
+    ts = []
+    for g in (f, staged(f)):
+        with pytest.raises(DivergenceError) as err:
+            verify_contraction(g, pairs, rate=-1.0, t_span=(0.0, 1.0), h=1e-3)
+        ts.append(err.value.t)
+    assert ts[0] == ts[1] and 0.76 < ts[0] < 0.78
 
 
 def test_pair_distances_match_per_pair_integrate_across_blocks():
