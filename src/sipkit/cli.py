@@ -11,6 +11,10 @@ failing one, 1 on errors (a seed that is not an integer among them), 64
 on an unknown kind or a malformed command line.  report.json is
 byte-identical across runs with the same scenario and seed; wall time is
 written to a separate wall_time.txt sidecar to keep it that way.
+
+Every run is a fresh process, so start-up counts: this module imports
+only errors, spaces and measures, and each handler imports the analysis
+modules it runs in its own body.
 """
 
 from __future__ import annotations
@@ -23,30 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .couplings import BlockSystem, feedback_certificate
 from .errors import CertificateRefusedError, SipkitError
-from .flows import integrate, overshoot_fit, verify_contraction
-from .invariants import (
-    LinearSymmetry,
-    ManifoldSpec,
-    SubspaceSpec,
-    equivariance_residual,
-    subspace_certificate,
-    manifold_certificate,
-)
 from .measures import SAMPLED, Ball, DomainSampler, Points, RateEstimate, Sphere, VectorField, operator_rate
-from .mirror import RegressionProblem, mirror_descent_run
-from .pdelab import (
-    Grid1D,
-    _central_difference,
-    build_laplacian,
-    conservation_rate,
-    demean,
-    fixed_point_solve,
-    poincare_rate,
-    rd_simulate,
-    total_mass,
-)
 from .spaces import NormSpec
 
 # ---------------------------------------------------------- serialization
@@ -144,6 +126,7 @@ def _run_measure(seed, outdir, *, matrix, p, weight=None):
 def _run_verify(
     seed, outdir, *, matrix, p, rate, overshoot=1.0, t_span=(0.0, 1.0), step=1e-2, pairs=10, radius=1.0
 ):
+    from .flows import verify_contraction
     A = _matrix(matrix)
     spec = NormSpec(p=float(p))
     a, b = DomainSampler(Ball(np.zeros(A.shape[0]), float(radius)), count=int(pairs), seed=seed).pairs()
@@ -166,6 +149,7 @@ def _run_verify(
 
 
 def _run_subspace(seed, outdir, *, matrix, projection, p, tol=1e-8, samples=100, radius=1.0):
+    from .invariants import SubspaceSpec, subspace_certificate
     A = _matrix(matrix)
     f = VectorField.linear(A)
     sub = SubspaceSpec(_matrix(projection))
@@ -179,6 +163,7 @@ def _run_subspace(seed, outdir, *, matrix, projection, p, tol=1e-8, samples=100,
 
 
 def _run_manifold(seed, outdir, *, system, omega=3.0, mu=1.0, tol=1e-8):
+    from .invariants import ManifoldSpec, manifold_certificate
     name = str(system)
     if name != "hopf":
         raise SipkitError(f"unknown manifold system {name!r}; known: hopf")
@@ -208,6 +193,7 @@ def _run_manifold(seed, outdir, *, system, omega=3.0, mu=1.0, tol=1e-8):
 
 
 def _run_couple(seed, outdir, *, blocks, coupling):
+    from .couplings import BlockSystem, feedback_certificate
     J1, J2 = (_matrix(b) for b in blocks)
     B = _matrix(coupling)
     sys_ = BlockSystem(
@@ -225,6 +211,7 @@ def _run_couple(seed, outdir, *, blocks, coupling):
 
 
 def _initial_profile(u0, grid):
+    from .pdelab import demean
     if isinstance(u0, str):
         if u0 == "sin":
             return demean(np.sin(2.0 * np.pi * grid.points / grid.length))
@@ -237,6 +224,8 @@ def _initial_profile(u0, grid):
 def _run_pde_rd(
     seed, outdir, *, n, bc, alpha, t_span, reaction=0.0, u0="sin", h_t=None, length=1.0, claimed_rate=None
 ):
+    from .flows import overshoot_fit
+    from .pdelab import Grid1D, demean, poincare_rate, rd_simulate, total_mass
     grid = Grid1D(int(n), str(bc), float(length))
     alpha = float(alpha)
     c = float(reaction)
@@ -272,6 +261,8 @@ _FLUXES = {
 
 
 def _run_pde_claw(seed, outdir, *, n, flux, t_span, amplitude=1.0, h_t=1e-3, tol=1e-8, length=1.0):
+    from .flows import integrate
+    from .pdelab import Grid1D, _central_difference, conservation_rate, total_mass
     grid = Grid1D(int(n), "periodic", float(length))
     name, make_flux, options = _named_option(_FLUXES, "flux", flux)
     flux, rate_checked = make_flux(**options)
@@ -307,6 +298,7 @@ _FORCINGS = {
 
 
 def _run_poisson(seed, outdir, *, n, forcing, bc="dirichlet", tol=1e-8, u0=None):
+    from .pdelab import Grid1D, build_laplacian, fixed_point_solve
     grid = Grid1D(int(n), str(bc))
     L = build_laplacian(grid)
     _, make_field, options = _named_option(_FORCINGS, "forcing", forcing)
@@ -333,6 +325,7 @@ def _run_poisson(seed, outdir, *, n, forcing, bc="dirichlet", tol=1e-8, u0=None)
 
 
 def _run_regress(seed, outdir, *, p, features, targets, alpha, steps, u0=None, tol=1e-8):
+    from .mirror import RegressionProblem, mirror_descent_run
     rows = _matrix(features)
     ys = np.asarray(targets, dtype=float)
     if rows.shape[0] != ys.shape[0]:
@@ -363,6 +356,7 @@ def _run_regress(seed, outdir, *, p, features, targets, alpha, steps, u0=None, t
 
 def _run_symmetry(seed, outdir, *, matrix, transform, p=None, tol=1e-8, samples=50, radius=1.0):
     # p is accepted and not read: the equivariance residual is Euclidean
+    from .invariants import LinearSymmetry, equivariance_residual
     A = _matrix(matrix)
     T = _matrix(transform)
     f = VectorField.linear(A)

@@ -147,7 +147,8 @@ def _rk4(f, U, t0, t1, h, reduce=None):
 def integrate(f: VectorField, u0, t_span, h: float) -> Trajectory:
     """Classical fixed-step RK4 of one initial state.
 
-    The step is rescaled to divide the span exactly so the sample grid is
+    The start must have shape (f.dim,), or DimensionError is raised.  The
+    step is rescaled to divide the span exactly so the sample grid is
     uniform; integration aborts with DivergenceError once the largest
     entry of the state is non-finite or past the blow-up sentinel.  An
     affine field over at least dim steps is stepped by RK4's step map.
@@ -156,6 +157,8 @@ def integrate(f: VectorField, u0, t_span, h: float) -> Trajectory:
     u = np.array(u0, dtype=float)
     if u.ndim != 1:
         raise DegenerateArgumentError("initial state must be a vector")
+    if u.shape != (f.dim,):
+        raise DimensionError(f"initial state of shape {u.shape} for a field of dimension {f.dim}")
     times, states, step = _rk4(f, u, t0, t1, h)
     return Trajectory(times=times, states=states, step=step)
 

@@ -528,3 +528,72 @@ def test_import_leaves_scipy_sparse_unloaded():
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(import_path), "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _child_env():
+    """Environment of a fresh child that imports the sipkit under test and writes no bytecode."""
+    import_path = [str(Path(sipkit.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        import_path.append(os.environ["PYTHONPATH"])
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(import_path), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+# The analysis modules a `sipkit run` of each kind loads besides errors,
+# spaces and measures, which the CLI itself imports.
+_KIND_MODULES = {
+    "measure": set(),
+    "verify": {"flows"},
+    "subspace": {"flows", "invariants"},
+    "manifold": {"flows", "invariants"},
+    "symmetry": {"flows", "invariants"},
+    "couple": {"flows", "couplings"},
+    "pde-rd": {"flows", "pdelab"},
+    "pde-claw": {"flows", "pdelab"},
+    "poisson": {"flows", "pdelab"},
+    "regress": {"flows", "mirror"},
+}
+
+
+def test_each_kind_loads_only_the_modules_it_runs(tmp_path):
+    # -X importtime names every module a process imports, once, on stderr:
+    # the sipkit.* entries are the sipkit modules in the child's sys.modules
+    # (the CLI itself runs as __main__).
+    scenarios = dict(_benchmark_scenarios())
+    assert set(scenarios) == set(_KIND_MODULES)
+    loaded = {}
+    for kind, params in scenarios.items():
+        f = write_scenario(tmp_path, kind, {"kind": kind, "parameters": params})
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "sipkit.cli", "run", str(f), "--out", str(tmp_path / kind)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode in (0, 2), proc.stderr[-500:]
+        names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        loaded[kind] = {name for name in names if name.split(".")[0] == "sipkit"}
+    expected = {
+        kind: {"sipkit"} | {f"sipkit.{m}" for m in {"errors", "spaces", "measures"} | extra}
+        for kind, extra in _KIND_MODULES.items()
+    }
+    assert loaded == expected
+
+
+def test_bare_import_loads_no_analysis_module():
+    code = "import sipkit, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sipkit'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['sipkit']"
+
+
+def test_resolving_every_public_name_leaves_scipy_linalg_and_sparse_unloaded():
+    # `import sipkit, sipkit.cli` alone loads errors, spaces and measures,
+    # so the two guards above cannot see a scipy import at the top of the
+    # other modules; this one loads all nine first
+    code = (
+        "import sipkit, sipkit.cli, sys; [getattr(sipkit, name) for name in sipkit.__all__]; "
+        "assert len([m for m in sys.modules if m.startswith('sipkit.')]) == 9, sorted(sys.modules); "
+        "assert not [m for m in sys.modules if m == 'scipy.linalg' or m.startswith('scipy.sparse')]"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr

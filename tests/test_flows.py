@@ -314,6 +314,21 @@ def test_verify_contraction_wrong_length_pair_raises_before_stepping():
     assert calls[0] == 0
 
 
+@pytest.mark.parametrize("affine", [False, True])
+def test_integrate_wrong_length_start_raises_before_stepping(affine):
+    calls = [0]
+
+    def fn(t, u):
+        calls[0] += 1
+        return -u
+
+    f = VectorField.linear(np.eye(3)) if affine else VectorField(fn, 3)
+    for u0 in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(DimensionError, match=r"dimension 3"):
+            integrate(f, u0, (0.0, 1.0), 0.1)
+    assert calls[0] == 0
+
+
 def test_rk4_calls_the_field_only_off_the_step_map(monkeypatch):
     calls = []
     evaluate = VectorField.__call__

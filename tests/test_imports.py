@@ -1,9 +1,15 @@
-"""Source hygiene.
+"""Source hygiene and the package's exports.
 
 Every module-level import of a sipkit module is used.  The package
-``__init__`` is left out, since it imports to re-export.  A name counts
-as used when the module refers to it anywhere (annotations included) or
-lists it in ``__all__``.
+``__init__`` is left out, since it holds the export table.  A name
+counts as used when the module refers to it anywhere (annotations
+included) or lists it in ``__all__``.  An import in a function's body
+(such as the CLI handlers' imports of the modules they run) is used in
+that function.
+
+``sipkit.__all__`` names each public object once, and the package
+resolves every name, on first access, to the object its home module
+defines.
 
 Exact rate estimates are built in one place: outside ``measures`` the
 exact kinds (EIGEN, EXACT, or their strings) appear only in
@@ -12,9 +18,12 @@ own.  Every other exact rate comes from ``measures._operator_rates``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import sipkit
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sipkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -47,6 +56,46 @@ def test_no_unused_module_level_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(_imported_names(tree)) - _used_names(tree))
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def _unused_function_imports(tree):
+    """'function: name' of every import inside a function that the function never uses."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            used = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+            yield from (f"{fn.name}: {name}" for name in _imported_names(fn) if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_function_level_import(path):
+    unused = list(_unused_function_imports(ast.parse(path.read_text(), filename=str(path))))
+    assert not unused, f"{path.name} imports names inside functions that never use them: {unused}"
+
+
+def test_function_level_rule_sees_an_unused_import():
+    tree = ast.parse("def f():\n    from .flows import integrate, overshoot_fit\n    return integrate\n")
+    assert list(_unused_function_imports(tree)) == ["f: overshoot_fit"]
+
+
+def test_every_export_resolves_to_its_home_modules_object():
+    modules = {"errors", "spaces", "measures", "flows", "invariants", "couplings", "pdelab", "mirror"}
+    assert len(sipkit.__all__) == len(set(sipkit.__all__)) == 108
+    assert modules <= set(sipkit.__all__)
+    for name in sipkit.__all__:
+        value = getattr(sipkit, name)
+        if name in modules:
+            assert value is importlib.import_module(f"sipkit.{name}")
+        else:
+            home = f"sipkit.{sipkit._HOME[name]}"
+            assert value is getattr(importlib.import_module(home), name), name
+            assert value.__module__ == home, name  # defined there, not re-exported
+        assert vars(sipkit)[name] is value  # bound: later lookups are plain reads
+    assert set(sipkit.__all__) <= set(dir(sipkit))
+    star = {}
+    exec("from sipkit import *", star)
+    assert set(star) - {"__builtins__"} == set(sipkit.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sipkit.no_such_name
 
 
 _EXACT_KINDS = {"EIGEN", "EXACT", "eigen-exact", "exact-closed-form"}
