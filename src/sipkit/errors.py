@@ -58,7 +58,8 @@ class SymmetryError(SipkitError, ValueError):
 
 
 class DegenerateProjectionError(SipkitError, ValueError):
-    """Complement projection annihilates every probe direction."""
+    """No transverse direction to rate: the projection covers the whole
+    space, or the constraint is rank-deficient at every sampled state."""
 
 
 class CertificateRefusedError(SipkitError, RuntimeError):

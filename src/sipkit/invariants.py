@@ -3,13 +3,14 @@ constraint maps, symmetries, and limit cycles.
 
 Contraction toward a structure is certified in two parts: an algebraic
 residual showing the structure is dynamically consistent (invariance,
-tangency, equivariance, periodicity) and a negative projected rate.  A
-subspace's rate is closed where a seminorm ||Q x|| = ||R x||_p with R G = I
-is known (plain p=2, and coordinate complements at plain p in {1, inf}):
-the log norm of R Df(u) G, exact over directions.  Otherwise it probes 32
-complement directions per state, and a constraint map's rate probes
-least-norm preimages of 16 codomain directions (exact over directions at
-codimension 1 only).  Sampled suprema are certified lower bounds.
+tangency, equivariance, periodicity) and a negative transverse rate.
+Every transverse rate is the log norm of a compression R Df(u) G with
+R G = I, taken by measures._operator_rates: exact over directions
+wherever its closed forms reach, and sampled over states for a field
+that is not affine.  A subspace is rated in the coordinates e = W^T Q x
+of its complement, in the norm ||Q x|| = ||W e|| of the spec; a zero set
+of phi through Dphi(u) Df(u) Dphi(u)^+ in the codomain spec.  Sampled
+suprema are certified lower bounds.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .measures import (
     _operator_rates,
     _state_sup,
 )
-from .spaces import NormSpec, _quotient_rows, norm, norm_rows, sip_rows
+from .spaces import NormSpec, _restricted, norm, norm_rows
 
 __all__ = [
     "SubspaceSpec",
@@ -189,38 +190,18 @@ class DecayFit:
 
 
 def _complement_coordinates(Q, spec: NormSpec):
-    """(R, G, note) with R G = I and ||Q x|| = ||R x||_p, or None: at plain
-    p=2, R = V^T Q and G = V, V the orthonormal basis of range(Q) by
-    scipy.linalg.orth's rank rule; at plain p in {1, inf} with a 0/1
-    diagonal Q, R = E and G = E^T, E the complement's coordinate rows."""
-    if spec.transform is not None:
-        return None
-    if spec.p == 2.0:
+    """(R, G, norm, note): coordinates e = R x of the complement range(Q),
+    with R G = I and ||Q x|| = ||e|| in norm = _restricted(spec, G) for
+    every spec.  G = W is the complement's coordinate columns for a 0/1
+    diagonal Q, else the orthonormal basis of range(Q) by
+    scipy.linalg.orth's rank rule, and R = W^T Q."""
+    E = np.eye(len(Q))[:, np.abs(np.diag(Q) - 1.0) <= 1e-12]
+    if np.linalg.norm(Q - E @ E.T, 2) <= 1e-12:
+        W, note = E, "coordinate compression"
+    else:
         U, sv, _ = np.linalg.svd(Q)
-        V = U[:, sv > sv[0] * max(Q.shape) * np.finfo(float).eps]
-        return V.T @ Q, V, "compressed to complement range"
-    E = np.eye(len(Q))[np.abs(np.diag(Q) - 1.0) <= 1e-12]
-    if spec.p not in (1.0, math.inf) or np.linalg.norm(Q - E.T @ E, 2) > 1e-12:
-        return None
-    return E, E.T, "coordinate compression"
-
-
-def _projected_rate_sampled(jac_at, Q, sampler: DomainSampler, spec: NormSpec, times):
-    rng = np.random.default_rng((sampler.seed, 2))
-    probes = rng.normal(size=(32, Q.shape[0])) @ Q.T
-    nw = norm_rows(probes, spec)
-    keep = nw > 1e-12
-    if not np.any(keep):
-        raise DegenerateProjectionError("complement projection annihilates every probe")
-    probes = probes[keep] / nw[keep, None]
-
-    def rates_at(t, X):
-        Js = np.array([jac_at(t, u) for u in X])
-        images = (probes @ Js.transpose(0, 2, 1) @ Q.T).reshape(-1, Q.shape[0])
-        return sip_rows(np.concatenate([probes] * len(X)), images, spec).reshape(len(X), -1).max(axis=1)
-
-    best, used, vals = _state_sup(rates_at, sampler, times, 2)
-    return RateEstimate(best, SAMPLED, samples=len(vals) * len(probes), ascent_iters=used)
+        W, note = U[:, sv > sv[0] * max(Q.shape) * np.finfo(float).eps], "compressed to complement range"
+    return W.T @ Q, W, _restricted(spec, W), note
 
 
 def subspace_certificate(
@@ -235,33 +216,30 @@ def subspace_certificate(
 
     Invariance: sup ||Q f(t, P v)|| over sampled v must stay within tol;
     each time evaluates f once on the stack of the P v.
-    Rate: sup of sip(w, Q Df(t,u) w)/||w||^2 over complement directions
-    w in range(Q).  Closed route (see _complement_coordinates): the log
-    norm of R Df(t,u) G, exact for an affine field and sampled over states
-    for any other; every other norm takes 32 complement probes per state.
-    Passes when the residual is small and the rate is strictly negative.
+    Rate: the log norm of the compression R Df(t,u) G onto the complement
+    coordinates (see _complement_coordinates), in the norm ||Q x|| of the
+    spec: one operator rate for an affine field, else the sup over the
+    sampler's states of the inner rates, exact over directions where
+    the closed forms reach (every p=2 spec; plain p in {1, inf} with a
+    coordinate complement).  Passes when the residual is small and the
+    rate is strictly negative.
     """
     if sub.dim != f.dim:
         raise DimensionError("projection and field dimensions differ")
     Q = sub.Q
     if np.linalg.norm(Q, 2) <= 1e-12:
-        raise DegenerateProjectionError("projection covers the whole space; no complement to probe")
+        raise DegenerateProjectionError("projection covers the whole space; no complement to rate")
     PV = sampler.points() @ sub.P.T
     residual = 0.0
     for t in times:
         residual = max(residual, float(norm_rows(f(t, PV) @ Q.T, spec).max()))
-    closed = _complement_coordinates(Q, spec)
-    if closed is None:
-        jac_at = f.jacobian if f.matrix is None else (lambda t, u: f.matrix)
-        rate = _projected_rate_sampled(jac_at, Q, sampler, spec, times)
-    elif f.matrix is not None:
-        R, G, note = closed
-        rate = replace(_operator_rates((R @ f.matrix @ G)[None], spec)[0], note=note)
+    R, G, spec_e, note = _complement_coordinates(Q, spec)
+    if f.matrix is not None:
+        rate = replace(_operator_rates((R @ f.matrix @ G)[None], spec_e)[0], note=note)
     else:
-        R, G, note = closed
 
         def rates_at(t, X):
-            return _inner_rates([R @ f.jacobian(t, u) @ G for u in X], spec, sampler.seed)
+            return _inner_rates([R @ f.jacobian(t, u) @ G for u in X], spec_e, sampler.seed)
 
         best, used, vals = _state_sup(rates_at, sampler, times, 2)
         rate = RateEstimate(best, SAMPLED, samples=len(vals), ascent_iters=used, note=note)
@@ -306,36 +284,25 @@ def _zero_set(f, man: ManifoldSpec, seeds, spec: NormSpec, times):
 
 
 def _constraint_rate(f, man: ManifoldSpec, sampler: DomainSampler, spec: NormSpec, times):
-    """sup over states of the constraint-weighted rate.
-
-    Probes are least-norm preimages of codomain directions, i.e. the
-    directions the constraint map actually measures; tangent directions
-    are in the kernel of Dphi and carry no information here.
-    """
-    rng = np.random.default_rng((sampler.seed, 3))
-    ys = rng.normal(size=(16, man.codim))
-    ny = np.linalg.norm(ys, axis=1)
-    ys = ys[ny > 0] / ny[ny > 0, None]
+    """sup over the sampler's states of the inner rate of the compression
+    Dphi(u) Df(u) Dphi(u)^+ in the codomain spec: the rate of the
+    constraint value phi, whose tangent directions lie in the kernel of
+    Dphi.  States where Dphi loses row rank are skipped."""
 
     def rates_at(t, X):
         out = np.full(len(X), -math.inf)  # stays -inf where the constraint is blind
         Js = np.array([man.jacobian(u) for u in X])
         seen = np.linalg.svd(Js, compute_uv=False)[:, -1] > RANK_TOL
         if seen.any():
-            Js = Js[seen]
-            Jt = Js.transpose(0, 2, 1)
-            DU = ys @ np.linalg.pinv(Js).transpose(0, 2, 1)
             Fs = np.array([f.jacobian(t, u) for u in X[seen]])
-            U, W = DU @ Jt, DU @ Fs.transpose(0, 2, 1) @ Jt
-            q = _quotient_rows(U.reshape(-1, man.codim), W.reshape(-1, man.codim), spec, 1e-12)
-            out[seen] = q.reshape(len(Js), -1).max(axis=1)
+            out[seen] = _inner_rates(Js[seen] @ Fs @ np.linalg.pinv(Js[seen]), spec, sampler.seed)
         return out
 
     best, used, vals = _state_sup(rates_at, sampler, times, 2)
     finite = int(np.count_nonzero(np.isfinite(vals)))
     if not finite:
-        raise DegenerateProjectionError("no constraint-visible probe directions found")
-    return RateEstimate(best, SAMPLED, samples=finite * len(ys), ascent_iters=used)
+        raise DegenerateProjectionError("the constraint jacobian is rank-deficient at every sampled state")
+    return RateEstimate(best, SAMPLED, samples=finite, ascent_iters=used)
 
 
 def manifold_certificate(
@@ -352,7 +319,11 @@ def manifold_certificate(
 
     Seeds are Newton-projected onto the zero set (each checked for full
     row rank of Dphi); tangency sup ||Dphi(z) f(t,z)|| must stay within
-    tol and the constraint-weighted rate must be negative.
+    tol and the constraint rate must be negative: the sup over the
+    ambient sampler's states of the log norm of Dphi(u) Df(u) Dphi(u)^+
+    in the codomain spec, exact over directions at p in {1, 2, inf}.
+    States where Dphi loses row rank are skipped; if all of them do,
+    DegenerateProjectionError is raised.
     """
     zs, smin, tangency, _ = _zero_set(f, man, seed_sampler.points(), spec, times)
     rate = _constraint_rate(f, man, ambient_sampler, spec, times)
@@ -419,10 +390,10 @@ def limit_cycle_certificate(
 ) -> LimitCycleReport:
     """Certify an attracting periodic orbit supported on a closed curve.
 
-    Four conditions: the loop is tangent to the flow, the constraint-
-    weighted rate toward the loop is negative, the field is period-
-    periodic on the loop, and the speed never vanishes there (so the
-    motion on the loop cannot stall).
+    Four conditions: the loop is tangent to the flow, the constraint
+    rate toward the loop (as in manifold_certificate) is negative, the
+    field is period-periodic on the loop, and the speed never vanishes
+    there (so the motion on the loop cannot stall).
     """
     if period <= 0:
         raise DegenerateArgumentError("period must be positive")

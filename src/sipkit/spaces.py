@@ -87,7 +87,10 @@ class NormSpec:
     invertible ``weight`` W gives T = W; ``stack`` holds grid difference
     operators D_1..D_k for the stacked norm (p-th powers of the derivative
     levels summed), T = [I; D_1; ...; D_k].  Both are kept as read-only
-    copies and ``transform`` = T is built from them once.
+    copies and ``transform`` = T is built from them once.  A tall T of
+    full column rank (a stack, or a norm restricted to a subspace by
+    _restricted) measures a restriction of ||.||_p: exactly at p=2, where
+    its R from T = QR is square, and by sampling at any other p.
     """
 
     p: float = 2.0
@@ -117,12 +120,17 @@ class NormSpec:
                 a.flags.writeable = False
         object.__setattr__(self, "transform", T)
 
+    @property
+    def _tall(self) -> bool:
+        """Whether T has more rows than columns."""
+        return self.transform is not None and self.transform.shape[0] > self.transform.shape[1]
+
     @cached_property
     def _square(self):
-        """(R, R^-1), ||u|| = ||R u||_p: W, or at p=2 the R of the stack's T = QR."""
-        if self.stack and self.p != 2.0:
-            raise UnsupportedNormError("stacked norms have no square conjugation off p=2; use sampled rates")
-        R = np.linalg.qr(self.transform, mode="r") if self.stack else self.transform
+        """(R, R^-1), ||u|| = ||R u||_p: T when it is square, or at p=2 the R of a tall T = QR."""
+        if self._tall and self.p != 2.0:
+            raise UnsupportedNormError("tall norm coordinates have no square conjugation off p=2; use sampled rates")
+        R = np.linalg.qr(self.transform, mode="r") if self._tall else self.transform
         return R, np.linalg.inv(R)
 
     def conjugate(self, A):
@@ -132,6 +140,20 @@ class NormSpec:
             return A
         R, R_inv = self._square
         return R @ A @ R_inv
+
+
+def _restricted(spec: NormSpec, W) -> NormSpec:
+    """The norm e -> ||W e|| of spec on the coordinates e of range(W), for
+    W with orthonormal columns: a plain spec where W keeps l^p norms (a
+    plain p=2 spec, or signed coordinate columns), else one whose
+    transform is T W (W itself for a plain spec)."""
+    out = NormSpec(p=spec.p, field_kind=spec.field_kind)
+    if spec.transform is None and (spec.p == 2.0 or np.isin(np.abs(W), (0.0, 1.0)).all()):
+        return out
+    TW = np.array(W if spec.transform is None else spec.transform @ W)
+    TW.flags.writeable = False
+    object.__setattr__(out, "transform", TW)
+    return out
 
 
 def _dtype(spec: NormSpec):

@@ -15,6 +15,9 @@ Exact rate estimates are built in one place: outside ``measures`` the
 exact kinds (EIGEN, EXACT, or their strings) appear only in
 ``pdelab.poincare_rate``, whose grid spectra are closed forms of their
 own.  Every other exact rate comes from ``measures._operator_rates``.
+
+``invariants`` draws no random probes and imports no quotient kernel:
+every invariant-set rate is an inner log norm from ``_operator_rates``.
 """
 
 import ast
@@ -123,3 +126,28 @@ def test_exact_rate_kinds_stay_in_measures(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     stray = [(owner, line) for owner, line in _exact_kind_uses(tree) if (path.name, owner) not in _EXACT_SITES]
     assert not stray, f"{path.name} builds exact rates outside measures: {stray}"
+
+
+_PROBE_DRAWS = {"default_rng", "normal"}
+_PROBE_KERNELS = {"_quotient_rows", "sip_rows"}
+
+
+def test_invariants_draw_no_probes():
+    # every invariant-set rate is an inner log norm from _operator_rates;
+    # a random draw or a quotient kernel here is a probe loop beside it
+    tree = ast.parse((SRC / "invariants.py").read_text())
+    draws = sorted(
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in _PROBE_DRAWS)
+        or (isinstance(node, ast.Name) and node.id in _PROBE_DRAWS)
+    )
+    kernels = sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.split(".")[-1] in _PROBE_KERNELS
+    )
+    assert not draws, f"invariants.py draws random probes: {draws}"
+    assert not kernels, f"invariants.py imports quotient kernels: {kernels}"

@@ -186,7 +186,9 @@ def _pinned_outputs():
     return out
 
 
-# recorded before the coupling, pattern and manifold rates ran on stacks
+# recorded before the coupling, pattern and manifold rates ran on stacks;
+# the manifold entries re-recorded when the constraint rate became the
+# inner log norm of Dphi Df Dphi^+ (samples count states)
 _PINS = {
     "suppression": [
         0.024494897427831792,
@@ -197,9 +199,9 @@ _PINS = {
         0.21247877326301626,
     ],
     "excitation": [-33.12762744631738, -27.127627445824654],
-    "hopf-analytic": [2.407108739279898e-13, -1.9999999999999991, 512, 50, 1.9999999999999998],
-    "hopf-difference": [1.187606279685513e-10, -1.999999999840702, 512, 50, 1.9999999999420286],
-    "codim2-difference": [2.58607826183603, 1493.312469381821, 320, 50, 1.1682909878594228],
+    "hopf-analytic": [2.407108739279898e-13, -1.9999999999999976, 32, 50, 1.9999999999999998],
+    "hopf-difference": [1.187606279685513e-10, -1.9999999998892162, 32, 50, 1.9999999999420286],
+    "codim2-difference": [2.58607826183603, 544.6724336844369, 20, 50, 1.1682909878594228],
 }
 
 
