@@ -7,10 +7,11 @@ tangency, equivariance, periodicity) and a negative transverse rate.
 Every transverse rate is the log norm of a compression R Df(u) G with
 R G = I, taken by measures._operator_rates: exact over directions
 wherever its closed forms reach, and sampled over states for a field
-that is not affine.  A subspace is rated in the coordinates e = W^T Q x
-of its complement, in the norm ||Q x|| = ||W e|| of the spec; a zero set
-of phi through Dphi(u) Df(u) Dphi(u)^+ in the codomain spec.  Sampled
-suprema are certified lower bounds.
+that is not affine.  A subspace is rated by differential_rate in the
+seminorm ||Q x|| = ||W e|| of the spec (spaces._seminorm), e = W^T Q x
+the coordinates of its complement; a zero set of phi, whose compression
+depends on the state, through Dphi(u) Df(u) Dphi(u)^+ in the codomain
+spec.  Sampled suprema are certified lower bounds.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from .measures import (
     _fd,
     _fd_jacobian,
     _inner_rates,
-    _operator_rates,
     _state_sup,
+    differential_rate,
 )
-from .spaces import NormSpec, _restricted, norm, norm_rows
+from .spaces import NormSpec, _seminorm, norm, norm_rows
 
 __all__ = [
     "SubspaceSpec",
@@ -189,19 +190,19 @@ class DecayFit:
 # ----------------------------------------------------------- subspaces
 
 
-def _complement_coordinates(Q, spec: NormSpec):
-    """(R, G, norm, note): coordinates e = R x of the complement range(Q),
-    with R G = I and ||Q x|| = ||e|| in norm = _restricted(spec, G) for
-    every spec.  G = W is the complement's coordinate columns for a 0/1
-    diagonal Q, else the orthonormal basis of range(Q) by
-    scipy.linalg.orth's rank rule, and R = W^T Q."""
+def _complement_coordinates(Q):
+    """(C, G, note): coordinates e = C x of the complement range(Q), with
+    C G = I and G C = Q, so ||Q x|| is the seminorm _seminorm(spec, C, G)
+    of every spec.  G = W is the complement's coordinate columns for a
+    0/1 diagonal Q, else the orthonormal basis of range(Q) by
+    scipy.linalg.orth's rank rule, and C = W^T Q."""
     E = np.eye(len(Q))[:, np.abs(np.diag(Q) - 1.0) <= 1e-12]
     if np.linalg.norm(Q - E @ E.T, 2) <= 1e-12:
         W, note = E, "coordinate compression"
     else:
         U, sv, _ = np.linalg.svd(Q)
         W, note = U[:, sv > sv[0] * max(Q.shape) * np.finfo(float).eps], "compressed to complement range"
-    return W.T @ Q, W, _restricted(spec, W), note
+    return W.T @ Q, W, note
 
 
 def subspace_certificate(
@@ -216,13 +217,14 @@ def subspace_certificate(
 
     Invariance: sup ||Q f(t, P v)|| over sampled v must stay within tol;
     each time evaluates f once on the stack of the P v.
-    Rate: the log norm of the compression R Df(t,u) G onto the complement
-    coordinates (see _complement_coordinates), in the norm ||Q x|| of the
-    spec: one operator rate for an affine field, else the sup over the
-    sampler's states of the inner rates, exact over directions where
-    the closed forms reach (every p=2 spec; plain p in {1, inf} with a
-    coordinate complement).  Passes when the residual is small and the
-    rate is strictly negative.
+    Rate: differential_rate in the seminorm ||Q x|| of the spec (see
+    _complement_coordinates), which rates the compression C Df(t,u) G:
+    one operator rate for an affine field (probes seeded from the
+    sampler off the closed forms), else the sup over the sampler's
+    states of the inner rates, exact over directions where the closed
+    forms reach (every p=2 spec; plain p in {1, inf} with a coordinate
+    complement).  Passes when the residual is small and the rate is
+    strictly negative.
     """
     if sub.dim != f.dim:
         raise DimensionError("projection and field dimensions differ")
@@ -233,16 +235,8 @@ def subspace_certificate(
     residual = 0.0
     for t in times:
         residual = max(residual, float(norm_rows(f(t, PV) @ Q.T, spec).max()))
-    R, G, spec_e, note = _complement_coordinates(Q, spec)
-    if f.matrix is not None:
-        rate = replace(_operator_rates((R @ f.matrix @ G)[None], spec_e)[0], note=note)
-    else:
-
-        def rates_at(t, X):
-            return _inner_rates([R @ f.jacobian(t, u) @ G for u in X], spec_e, sampler.seed)
-
-        best, used, vals = _state_sup(rates_at, sampler, times, 2)
-        rate = RateEstimate(best, SAMPLED, samples=len(vals), ascent_iters=used, note=note)
+    C, G, note = _complement_coordinates(Q)
+    rate = replace(differential_rate(f, sampler, _seminorm(spec, C, G), times, ascent_starts=2), note=note)
     passed = bool(residual <= tol and rate.value < 0.0)
     return SubspaceReport(invariance_residual=float(residual), rate=rate, passed=passed, tol=tol)
 

@@ -14,11 +14,13 @@ of matrices at once, by stacked closed forms for p in {1, 2, inf} and
 otherwise by one sweep and one lockstep ascent for all B; operator_rate is
 its B = 1 case.  The closed forms take every p=2 norm and every norm
 whose coordinates T are square: they rate spec.conjugate(A) = R A R^-1,
-with the spec's cached factor R (for a tall T, stacked or restricted,
-||Tu||_2 is ||Ru||_2 for T = QR).
+with the spec's cached factor R (for a tall T, stacked or a seminorm's
+coordinates, ||Tu||_2 is ||Ru||_2 for T = QR).
 Every exact matrix RateEstimate and every closed inner log norm comes
-from _operator_rates, the one home of the closed forms: among them the
-compressions R A G (R G = I) of every invariant subspace and zero set,
+from _operator_rates, the one home of the closed forms and the one
+reader of a seminorm's (C, G) (spaces._seminorm): it rates C A G in the
+seminorm's coordinates, so every rate functional works in a seminorm
+unchanged.  Its callers include every invariant-set and mass-zero rate,
 pdelab's Sobolev, pattern and conservation rates, and mirror's step
 threshold.
 The quotients come from the fused row kernel spaces._quotient_rows.
@@ -556,8 +558,10 @@ def lognorm_limit(A, spec: NormSpec = NormSpec(), samples=200, seed=0) -> RateEs
 def _operator_rates(As, spec: NormSpec = NormSpec(), samples=200, seed=0) -> list:
     """operator_rate of every matrix of a (B, n, n) stack, as a list.
 
-    Closed forms run stacked for every p=2 spec (plain, or with a square
-    or tall T) and for specs with no T or a square one at p in {1, inf}.
+    A seminorm from spaces._seminorm first compresses every A to C A G
+    and rates it in its coordinate spec.  Closed forms run stacked for
+    every p=2 spec (plain, or with a square or tall T) and for specs with
+    no T or a square one at p in {1, inf}.
     Otherwise every matrix is swept over the same seeded probes in one
     kernel call, and the best probe of each is refined by one lockstep
     ascent.
@@ -565,6 +569,9 @@ def _operator_rates(As, spec: NormSpec = NormSpec(), samples=200, seed=0) -> lis
     As = np.asarray(As)
     if As.ndim != 3 or As.shape[1] != As.shape[2]:
         raise DimensionError(f"expected a stack of square matrices, got shape {As.shape}")
+    if spec._compression is not None:  # a seminorm: rate C A G in its coordinates
+        C, G, spec = spec._compression
+        As = C @ As @ G
     if spec.p == 2.0 or (not spec._tall and spec.p in (1.0, math.inf)):
         kind = EIGEN if spec.p == 2.0 else EXACT
         note = "" if spec.transform is None else "stack-conjugated" if spec._tall else "weight-conjugated"

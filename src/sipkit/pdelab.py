@@ -7,8 +7,9 @@ closed form (no operator is built or eigensolved), method-of-lines
 reaction-diffusion simulation (the Laplacian is applied as a Kronecker
 sum of its axis operators, so a 2-d grid needs memory O(nx^2 + ny^2),
 not the N x N matrix), pattern suppression and excitation reports,
-Sobolev-type stacked rates, conservation-law rate analysis on the
-mass-zero subspace, and a contraction-backed fixed-point solver for
+Sobolev-type stacked rates (the mass-zero ones in a seminorm of the
+mean-zero subspace), conservation-law rate analysis on the mass-zero
+subspace, and a contraction-backed fixed-point solver for
 time-independent equations.  The pattern and conservation reports rate
 their whole stack of compressed Jacobians in one closed-form call.  Every
 exact rate but poincare_rate's grid spectra comes from measures (exact
@@ -45,7 +46,7 @@ from .measures import (
     differential_rate,
     integral_rate,
 )
-from .spaces import NormSpec, norm
+from .spaces import NormSpec, _seminorm, norm
 
 __all__ = [
     "Grid1D",
@@ -66,7 +67,6 @@ __all__ = [
     "fixed_point_solve",
     "mass_zero_basis",
     "demean",
-    "DemeanedRegion",
 ]
 
 _BCS = ("dirichlet", "neumann", "periodic")
@@ -268,31 +268,6 @@ def demean(u):
     """u minus its mean; a stack of states is demeaned row by row."""
     u = np.asarray(u, dtype=float)
     return u - u.mean(axis=-1, keepdims=True)
-
-
-class DemeanedRegion:
-    """Region adapter: every drawn or projected point is mean-removed,
-    realizing exact sampling of the mass-zero subspace."""
-
-    def __init__(self, region):
-        self.region = region
-
-    @property
-    def dim(self):
-        return self.region.dim
-
-    @property
-    def scale(self):
-        return self.region.scale
-
-    def draw(self, rng, count, **start):
-        """Mean-removed draws; a point list's start passes through."""
-        pts = self.region.draw(rng, count, **start)
-        return pts - pts.mean(axis=1, keepdims=True)
-
-    def project(self, x):
-        y = self.region.project(x)
-        return y - y.mean(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------- spectral gap
@@ -568,23 +543,22 @@ def sobolev_rate(
     """Rate of F in the stacked difference norm of order k: integral_rate
     in that norm, so operator_rate of an affine F's matrix (exact at p=2).
 
-    mass_zero restricts to mean-zero states u = V w, V = mass_zero_basis:
-    for an affine F at p=2 the rate is the log norm of Q_s^T S A V R_s^-1,
-    S = [I; D_1; ...; D_k] and S V = Q_s R_s (||S V w||_2 = ||R_s w||_2);
-    otherwise by demeaned pairs, an affine F's matrix dropped.
+    mass_zero rates F in the seminorm ||S V C u|| (spaces._seminorm) of
+    the mean-zero subspace range(V), V = mass_zero_basis, with S the
+    stack [I; D_1; ...; D_k] and C = (S V)^+ S = R_s^-1 Q_s^T S from
+    S V = Q_s R_s (V^T for k = 0): differential_rate there, which
+    sups over states anywhere in the sampler's region the log norm of
+    C Df(u) V, over directions in the mean-zero subspace.  It is exact
+    at p=2 for an affine F (a sampler is then optional), and exact over
+    directions at p=2 for any F with 1^T Df = 0.
     """
     spec = sob.norm_spec(grid)
-    if mass_zero and F.matrix is not None and sob.p == 2.0:
-        V = mass_zero_basis(F.dim)
-        S = np.eye(F.dim) if spec.transform is None else spec.transform
-        Q_s, R_s = np.linalg.qr(S @ V)
-        return _operator_rates((Q_s.T @ S @ F.matrix @ V @ np.linalg.inv(R_s))[None])[0]
-    if mass_zero:
-        if sampler is None:
-            raise DegenerateArgumentError("mass-zero sampled rates need a DomainSampler")
-        sampler = DomainSampler(DemeanedRegion(sampler.region), sampler.count, sampler.seed)
-        F = replace(F, matrix=None, offset=None)
-    return integral_rate(F, sampler, spec, times)
+    if not mass_zero:
+        return integral_rate(F, sampler, spec, times)
+    V = mass_zero_basis(F.dim)
+    S = np.eye(F.dim) if spec.transform is None else spec.transform
+    Q_s, R_s = np.linalg.qr(S @ V)
+    return differential_rate(F, sampler, _seminorm(spec, np.linalg.solve(R_s, Q_s.T @ S), V), times)
 
 
 # ------------------------------------------------------ conservation laws

@@ -3,7 +3,8 @@
 Every rate computed by this package is a supremum of quotients built from
 a norm and the semi-inner product compatible with it.  This module owns
 those primitives: weighted and stacked l^p norms ||u|| = ||T u||_p, whose
-T and square factor R only NormSpec decides, and their right/left
+T and square factor R only NormSpec decides, the seminorms ||G C u||
+(C G = I) that _seminorm builds from them, and their right/left
 semi-inner products, with one closed-form kernel for each that works on
 stacks of rows.  The single-vector forms (norm, sip, complex_sip) are its
 one-row case, the row-wise forms (norm_rows, sip_rows, and the fused
@@ -29,7 +30,6 @@ from .errors import (
 
 __all__ = [
     "NormSpec",
-    "as_vector",
     "norm",
     "norm_rows",
     "sip",
@@ -88,15 +88,18 @@ class NormSpec:
     operators D_1..D_k for the stacked norm (p-th powers of the derivative
     levels summed), T = [I; D_1; ...; D_k].  Both are kept as read-only
     copies and ``transform`` = T is built from them once.  A tall T of
-    full column rank (a stack, or a norm restricted to a subspace by
-    _restricted) measures a restriction of ||.||_p: exactly at p=2, where
-    its R from T = QR is square, and by sampling at any other p.
+    full column rank (a stack, or the coordinate spec of a _seminorm)
+    measures a restriction of ||.||_p: exactly at p=2, where its R from
+    T = QR is square, and by sampling at any other p.  A seminorm's own
+    T is T_e C; its (C, G, coordinate spec) sit in ``_compression``,
+    None for every other spec.
     """
 
     p: float = 2.0
     weight: np.ndarray | None = None
     stack: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
     field_kind: str = "real"
+    _compression = None  # not a field: set by _seminorm only
 
     def __post_init__(self):
         if not (self.p >= 1.0):
@@ -142,17 +145,28 @@ class NormSpec:
         return R @ A @ R_inv
 
 
-def _restricted(spec: NormSpec, W) -> NormSpec:
-    """The norm e -> ||W e|| of spec on the coordinates e of range(W), for
-    W with orthonormal columns: a plain spec where W keeps l^p norms (a
-    plain p=2 spec, or signed coordinate columns), else one whose
-    transform is T W (W itself for a plain spec)."""
+def _with_transform(spec: NormSpec, T) -> NormSpec:
+    """A spec of spec's p and field whose transform is T (None, or a read-only copy)."""
     out = NormSpec(p=spec.p, field_kind=spec.field_kind)
-    if spec.transform is None and (spec.p == 2.0 or np.isin(np.abs(W), (0.0, 1.0)).all()):
-        return out
-    TW = np.array(W if spec.transform is None else spec.transform @ W)
-    TW.flags.writeable = False
-    object.__setattr__(out, "transform", TW)
+    if T is not None:
+        T = np.array(T)
+        T.flags.writeable = False
+    object.__setattr__(out, "transform", T)
+    return out
+
+
+def _seminorm(spec: NormSpec, C, G) -> NormSpec:
+    """The seminorm x -> ||G C x|| of spec, for C G = I and G with
+    orthonormal columns.  Its coordinates e = C x are measured in the
+    coordinate spec e -> ||G e||: plain where G keeps l^p norms (a plain
+    p=2 spec, or signed coordinate columns), else with transform T_e =
+    T G (G itself for a plain spec).  Rows are measured through T_e C (C
+    for a plain coordinate spec); measures._operator_rates rates a
+    matrix A as C A G in the coordinate spec."""
+    plain = spec.transform is None and (spec.p == 2.0 or np.isin(np.abs(G), (0.0, 1.0)).all())
+    coords = _with_transform(spec, None if plain else G if spec.transform is None else spec.transform @ G)
+    out = _with_transform(spec, C if plain else coords.transform @ C)
+    object.__setattr__(out, "_compression", (C, G, coords))
     return out
 
 

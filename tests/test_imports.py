@@ -9,7 +9,7 @@ that function.
 
 ``sipkit.__all__`` names each public object once, and the package
 resolves every name, on first access, to the object its home module
-defines.
+defines.  Every name a module lists in its ``__all__`` is one of them.
 
 Exact rate estimates are built in one place: outside ``measures`` the
 exact kinds (EIGEN, EXACT, or their strings) appear only in
@@ -42,12 +42,17 @@ def _imported_names(tree):
                 yield alias.asname or alias.name
 
 
-def _used_names(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _module_all(tree):
+    """The names a module lists in __all__ (none when it has no __all__)."""
+    names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
-    return used
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _used_names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _module_all(tree)
 
 
 def test_modules_are_found():
@@ -99,6 +104,13 @@ def test_every_export_resolves_to_its_home_modules_object():
     assert set(star) - {"__builtins__"} == set(sipkit.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         sipkit.no_such_name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_exports_are_package_exports(path):
+    # a name a module lists in __all__ is public, so the package exports it
+    stray = sorted(_module_all(ast.parse(path.read_text(), filename=str(path))) - set(sipkit.__all__))
+    assert not stray, f"{path.name} lists {stray} in __all__, which the package does not export"
 
 
 _EXACT_KINDS = {"EIGEN", "EXACT", "eigen-exact", "exact-closed-form"}

@@ -20,7 +20,6 @@ from sipkit.errors import (
 from sipkit.flows import integrate, overshoot_fit
 from sipkit.measures import Ball, DomainSampler, Points, VectorField
 from sipkit.pdelab import (
-    DemeanedRegion,
     Grid1D,
     Grid2D,
     SobolevSpec,
@@ -513,27 +512,43 @@ def test_sobolev_linear_mass_zero_excludes_the_constant_mode(p):
     sampler = DomainSampler(Ball(np.zeros(16), 1.0), count=20, seed=0)
     sob = SobolevSpec(k=0, p=p)
     r = sobolev_rate(VectorField.linear(L), g, sob, sampler, mass_zero=True)
-    # L's constant mode has rate 0; the demeaned pairs never see it
+    # L's constant mode has rate 0; directions in the mean-zero subspace
+    # never see it, whether the affine matrix is rated (operator_rate of
+    # its compression, 200 probes) or the field's Jacobian state by state
     assert r.value < 0.0
+    assert (r.kind, r.samples) == ("sampled-lower-bound", 200)
     plain = VectorField(lambda t, u: L @ u, 16)
-    assert r == sobolev_rate(plain, g, sob, sampler, mass_zero=True)
+    assert sobolev_rate(plain, g, sob, sampler, mass_zero=True).value < 0.0
 
 
-def test_demeaned_point_list_pairs_each_point_with_the_next():
-    # a wrapped point list is still a point list: each listed point, mean
-    # removed, is paired with the next one rather than nudged off itself
+def test_mass_zero_rate_on_a_demeaned_point_list_is_the_closed_compressed_rate():
+    # no ascent on a point list: the rate is the closed log norm of the
+    # compression V^T A V at each listed state, exact over directions
     pts = np.random.default_rng(7).normal(size=(4, 3))
-    sampler = DomainSampler(DemeanedRegion(Points(pts)), count=4, seed=0)
-    a, b = sampler.pairs()
-    want = demean(pts)
-    assert np.array_equal(a, want) and np.array_equal(b, want[[1, 2, 3, 0]])
-    assert np.min(np.linalg.norm(a - b, axis=1)) > 0.1
+    sampler = DomainSampler(Points(demean(pts)), count=4, seed=0)
     A = np.random.default_rng(8).normal(size=(3, 3))
-    field = VectorField(lambda t, u: u @ A.T, 3)
+    field = VectorField(lambda t, u: u @ A.T, 3, jac=lambda t, u: A)
     r = sobolev_rate(field, Grid1D(3, "periodic"), SobolevSpec(k=0), sampler, mass_zero=True)
-    quotients = [(a_i - b_i) @ A @ (a_i - b_i) / ((a_i - b_i) @ (a_i - b_i)) for a_i, b_i in zip(a, b)]
+    V = mass_zero_basis(3)
+    M = V.T @ A @ V
     assert (r.samples, r.ascent_iters) == (4, 0)
-    assert r.value == pytest.approx(max(quotients), rel=1e-12)
+    assert r.value == pytest.approx(np.linalg.eigvalsh((M + M.T) / 2.0)[-1], rel=1e-12, abs=1e-12)
+
+
+def test_mass_conserving_nonlinear_field_mass_zero_rate_is_exact():
+    # 1^T A = 0, so the Jacobian maps into the mean-zero subspace and the
+    # state-by-state rate of the field equals its affine eigen-exact rate
+    g = Grid1D(16, "periodic")
+    B = np.random.default_rng(1).normal(size=(16, 16))
+    A = build_laplacian(g) + B - B.mean(axis=0)
+    sob = SobolevSpec(k=1)
+    sampler = DomainSampler(Ball(np.zeros(16), 1.0), count=12, seed=0)
+    want = sobolev_rate(VectorField.linear(A), g, sob, mass_zero=True)
+    field = VectorField(lambda t, u: A @ u, 16, jac=lambda t, u: A)
+    got = sobolev_rate(field, g, sob, sampler, mass_zero=True)
+    assert want.kind == "eigen-exact"
+    assert got.kind == "sampled-lower-bound"
+    assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-9)
 
 
 def test_sobolev_shift_property():

@@ -426,3 +426,24 @@ def test_spec_transform_is_its_coordinates():
         NormSpec(stack=(np.eye(3), np.eye(4)))
     with pytest.raises(DimensionError, match="act on dimension 4"):
         norm(np.ones(3), NormSpec(stack=(np.eye(4),)))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_seminorm_measures_rows_through_its_compression(p):
+    # ||x|| in _seminorm(spec, C, G) is ||G C x|| in spec, for an oblique
+    # C (C G = I) in a weighted spec and for C = G^T in a plain one
+    from sipkit.spaces import _seminorm
+
+    rng = np.random.default_rng(12)
+    G = np.linalg.qr(rng.normal(size=(5, 5)))[0][:, :3]
+    M = rng.normal(size=(7, 5))
+    X = rng.normal(size=(6, 5))
+    weighted = NormSpec(p=p, weight=np.eye(5) + 0.2 * rng.normal(size=(5, 5)))
+    for spec, C in ((weighted, np.linalg.pinv(M @ G) @ M), (NormSpec(p=p), G.T)):
+        semi = _seminorm(spec, C, G)
+        assert np.allclose(C @ G, np.eye(3))
+        assert norm_rows(X, semi) == pytest.approx(norm_rows(X @ (G @ C).T, spec), rel=1e-12)
+    A = rng.normal(size=(5, 5))
+    if p == 2.0:  # the rate of the compression G^T A G in the coordinates
+        want = np.linalg.eigvalsh((G.T @ (A + A.T) @ G) / 2.0)[-1]
+        assert operator_rate(A, semi).value == pytest.approx(want, rel=1e-12)
