@@ -6,7 +6,8 @@ pairs, block-diagonal products in l^p product norms, feedforward
 cascades, and continuum (quadrature-weighted) families.  Each bound is
 paired with a direct computation on the combined system so conservatism
 is visible; the feedback and product certificates assemble every sampled
-Jacobian once and rate slices of that one stack in one call each.  The
+Jacobian once and rate slices of that one stack in one call each; every
+matrix rate, zero-range residuals included, comes from measures.  The
 zero-diagonal unitary used by the divergence corollary exists for every
 trace-zero matrix; one sweep through a Schur basis per deflation step
 builds it, with no eigenvalue search.
@@ -26,9 +27,10 @@ from .measures import (
     RateEstimate,
     VectorField,
     _operator_rates,
+    _zero_range_residual,
     integral_rate,
 )
-from .spaces import NormSpec, _quotient_rows, norm_rows
+from .spaces import NormSpec, norm_rows
 
 __all__ = [
     "BlockSystem",
@@ -184,21 +186,6 @@ def additive_rate(
 # -------------------------------------------------------------- feedback
 
 
-def _zero_range_residual(F, spec: NormSpec, seed=0):
-    """sup over unit v of |sip(v, Fv)| for a matrix or a stack of them; exact
-    via symmetric eigenvalues in the plain l2 norm, else over 200 probes in
-    one _quotient_rows call."""
-    Ft = np.swapaxes(F, -1, -2)
-    if spec.p == 2.0 and spec.transform is None:
-        w = np.linalg.eigvalsh((F + Ft) / 2.0)
-        return float(np.max(np.abs(w)))
-    vs = np.random.default_rng(seed).normal(size=(200, F.shape[-1]))
-    images = vs @ Ft
-    probes = np.broadcast_to(vs, images.shape).reshape(-1, vs.shape[1])
-    q = _quotient_rows(probes, images.reshape(probes.shape), spec, 1e-150)
-    return float(np.abs(q[q > -math.inf]).max(initial=0.0))
-
-
 def _sampled_jacobians(sys: BlockSystem, sampler: DomainSampler, times):
     """The assembled Jacobian at every time and sampled state (the zero state
     without a sampler) as one stack, and the index slice of every block."""
@@ -223,9 +210,10 @@ def feedback_certificate(
 ) -> FeedbackReport:
     """Rate report for a two-block feedback interconnection.
 
-    Reports the skew-adjointness residual sup ||J12 + J21^T|| of the
+    Reports the skew-adjointness residual sup ||J12 + J21^T||_2 of the
     coupling, per-block rates, the composite rate of the assembled
-    jacobian, and the zero-range residual of the off-diagonal part.
+    jacobian, and the zero-range residual max(mu(J_off), mu(-J_off)) of
+    the off-diagonal part (measures._zero_range_residual).
     When the coupling is skew-adjoint and the norm is plain l2, the
     composite rate collapses to the larger block rate (equivalence_gap
     reports the observed difference).

@@ -60,9 +60,6 @@ class Trajectory:
     def dim(self):
         return self.states.shape[1]
 
-    def state(self, k):
-        return self.states[k]
-
 
 def _span(t_span, h):
     try:

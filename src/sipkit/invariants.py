@@ -30,14 +30,13 @@ from .errors import (
 )
 from .flows import Trajectory, overshoot_fit
 from .measures import (
-    SAMPLED,
     DomainSampler,
     RateEstimate,
     VectorField,
     _fd,
     _fd_jacobian,
     _inner_rates,
-    _state_sup,
+    _state_rate,
     differential_rate,
 )
 from .spaces import NormSpec, _seminorm, norm, norm_rows
@@ -133,7 +132,6 @@ class LinearSymmetry:
 class DiffeoSymmetry:
     h: object
     dh: object = None
-    h_inv: object = None
 
     def apply(self, u):
         return np.asarray(self.h(np.asarray(u)), dtype=float)
@@ -292,11 +290,10 @@ def _constraint_rate(f, man: ManifoldSpec, sampler: DomainSampler, spec: NormSpe
             out[seen] = _inner_rates(Js[seen] @ Fs @ np.linalg.pinv(Js[seen]), spec, sampler.seed)
         return out
 
-    best, used, vals = _state_sup(rates_at, sampler, times, 2)
-    finite = int(np.count_nonzero(np.isfinite(vals)))
-    if not finite:
+    est = _state_rate(rates_at, sampler, times, 2)
+    if not est.samples:
         raise DegenerateProjectionError("the constraint jacobian is rank-deficient at every sampled state")
-    return RateEstimate(best, SAMPLED, samples=finite, ascent_iters=used)
+    return est
 
 
 def manifold_certificate(

@@ -16,20 +16,20 @@ its B = 1 case.  The closed forms take every p=2 norm and every norm
 whose coordinates T are square: they rate spec.conjugate(A) = R A R^-1,
 with the spec's cached factor R (for a tall T, stacked or a seminorm's
 coordinates, ||Tu||_2 is ||Ru||_2 for T = QR).
-Every exact matrix RateEstimate and every closed inner log norm comes
-from _operator_rates, the one home of the closed forms and the one
-reader of a seminorm's (C, G) (spaces._seminorm): it rates C A G in the
-seminorm's coordinates, so every rate functional works in a seminorm
-unchanged.  Its callers include every invariant-set and mass-zero rate,
-pdelab's Sobolev, pattern and conservation rates, and mirror's step
-threshold.
+Only _operator_rates rates a matrix: the one home of the closed forms
+and the one reader of a seminorm's (C, G) (spaces._seminorm), it rates
+C A G in the seminorm's coordinates, so every rate functional works in a
+seminorm unchanged.  It serves every invariant-set and mass-zero rate,
+mirror's step threshold and _zero_range_residual.  Every RateEstimate
+but poincare_rate's is built here; _state_rate builds the sampled sups
+over states.
 The quotients come from the fused row kernel spaces._quotient_rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -462,10 +462,11 @@ def _region_ascent(region, k):
     return 0.05 * max(region.scale, 1e-6), k if region.scale > 0 else 0
 
 
-def _state_sup(rates_at, sampler, times, k):
-    """_sampled_sup over the sampler's points of a stacked rate
-    rates_at(t, X) (one value per row of X), with 25-step ascents."""
-    return _sampled_sup(
+def _state_rate(rates_at, sampler, times, k) -> RateEstimate:
+    """Sampled RateEstimate of the sup of a stacked rate rates_at(t, X) over
+    the sampler's points and times, 25-step ascents from the k best;
+    samples counts the finite sweep values (-inf marks a skipped state)."""
+    best, used, vals = _sampled_sup(
         rates_at,
         sampler.points(),
         *_region_ascent(sampler.region, k),
@@ -473,6 +474,7 @@ def _state_sup(rates_at, sampler, times, k):
         project=sampler.region.project,
         times=times,
     )
+    return RateEstimate(best, SAMPLED, samples=int(np.isfinite(vals).sum()), ascent_iters=used)
 
 
 # ------------------------------------------------------------ log norms
@@ -608,6 +610,15 @@ def operator_rate(A, spec: NormSpec = NormSpec(), samples=200, seed=0) -> RateEs
     return _operator_rates(_as_square(A)[None], spec, samples, seed)[0]
 
 
+def _zero_range_residual(As, spec: NormSpec = NormSpec()) -> float:
+    """Size max(mu(A), mu(-A)) of the numerical range of a matrix, which
+    lies in [-mu(-A), mu(A)], or the largest over a stack: one
+    _operator_rates call on [As; -As], so exact wherever it is (||sym A||_2
+    in the plain l2 norm), else sampled with ascent."""
+    As = np.asarray(As).reshape(-1, *np.shape(As)[-2:])
+    return max(est.value for est in _operator_rates(np.concatenate([As, -As]), spec))
+
+
 # --------------------------------------------------------- rate functionals
 
 
@@ -691,8 +702,7 @@ def differential_rate(
     def rates_at(t, X):
         return _inner_rates([f.jacobian(t, u) for u in X], spec, sampler.seed)
 
-    best, used, vals = _state_sup(rates_at, sampler, times, ascent_starts)
-    return RateEstimate(best, SAMPLED, samples=len(vals), ascent_iters=used)
+    return _state_rate(rates_at, sampler, times, ascent_starts)
 
 
 # ----------------------------------------------------------- weights
@@ -766,8 +776,7 @@ def weighted_rate(
     def rates_at(t, X):
         return _inner_rates([generator(t, u) for u in X], spec, sampler.seed)
 
-    best, used, vals = _state_sup(rates_at, sampler, times, 2)
-    return RateEstimate(best, SAMPLED, samples=len(vals), ascent_iters=used, note="varying weight")
+    return replace(_state_rate(rates_at, sampler, times, 2), note="varying weight")
 
 
 # ----------------------------------------------------- norm comparison

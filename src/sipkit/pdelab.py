@@ -10,10 +10,11 @@ not the N x N matrix), pattern suppression and excitation reports,
 Sobolev-type stacked rates (the mass-zero ones in a seminorm of the
 mean-zero subspace), conservation-law rate analysis on the mass-zero
 subspace, and a contraction-backed fixed-point solver for
-time-independent equations.  The pattern and conservation reports rate
-their whole stack of compressed Jacobians in one closed-form call.  Every
-exact rate but poincare_rate's grid spectra comes from measures (exact
-Sobolev rates of affine fields at p=2 among them).
+time-independent equations.  Every mass-zero quantity is rated in the l2
+seminorm _seminorm(NormSpec(), W^T, W) of its subspace range(W), whose
+compression W^T A W only measures applies.  Every rate but
+poincare_rate's grid spectra comes from measures (exact Sobolev rates of
+affine fields at p=2 among them).
 """
 
 from __future__ import annotations
@@ -35,16 +36,17 @@ from .flows import Trajectory, integrate, overshoot_fit
 from .measures import (
     BLOWUP,
     EIGEN,
-    SAMPLED,
     Ball,
     DomainSampler,
+    Points,
     RateEstimate,
     VectorField,
     _fd,
-    _inner_rates,
     _operator_rates,
+    _zero_range_residual,
     differential_rate,
     integral_rate,
+    operator_rate,
 )
 from .spaces import NormSpec, _seminorm, norm
 
@@ -376,16 +378,15 @@ class ExcitationReport:
 
 def _suppression_report(alpha, f, grid, sampler, times, t_span, h_t, tol):
     N = grid.size
-    L = build_laplacian(grid)
     V = mass_zero_basis(N)
+    mass_zero = _seminorm(NormSpec(), V.T, V)
     field = VectorField(f, N)
     X = sampler.points()
     # invariance of the constant subspace under the reaction
     C = np.repeat(X.mean(axis=1, keepdims=True), N, axis=1)
     inv = max(float(np.linalg.norm(r)) for t in times for r in demean(field(t, C)))
-    Js = np.array([field.jacobian(t, u) for t in times for u in X] + [L])
-    rates = _inner_rates(V.T @ Js @ V)
-    m_f, m_lap = float(rates[:-1].max()), float(rates[-1])
+    m_f = differential_rate(field, sampler, mass_zero, times, ascent_starts=0).value
+    m_lap = operator_rate(build_laplacian(grid), mass_zero).value
     cond_impl = m_f < alpha * abs(m_lap)
     cond_unscaled = m_f < m_lap  # no alpha scaling; dimension-inconsistent, logged only
     predicted = alpha * m_lap + m_f
@@ -445,9 +446,8 @@ def _excitation_report(alphas, f, grid, witness, times, t_span, h_t, tol):
     Js = np.array([F.jacobian(t, anti) for t in times])
     Vz = mass_zero_basis(N)
     # the synchronized (sum) and the anti-synchronized (pattern) modes
-    Vs = np.array([np.vstack([Vz, Vz]), np.vstack([Vz, -Vz])]) / math.sqrt(2.0)
-    modes = (Vs.transpose(0, 2, 1) @ Js[:, None] @ Vs).reshape(-1, N - 1, N - 1)
-    sum_rate, diff_rate = _inner_rates(modes).reshape(-1, 2).max(axis=0).tolist()
+    Ws = [np.vstack([Vz, Vz]) / math.sqrt(2.0), np.vstack([Vz, -Vz]) / math.sqrt(2.0)]
+    sum_rate, diff_rate = (max(est.value for est in _operator_rates(Js, _seminorm(NormSpec(), W.T, W))) for W in Ws)
 
     if h_t is None:
         h_t = 0.9 * _stability_limit(grid, (a1, a2))
@@ -580,33 +580,35 @@ def conservation_rate(
     on the mass-zero subspace (periodic grid, central differences).
 
     flux is the scalar flux f, whose derivative f' is taken by _fd with
-    step 1e-6; alternatively flux_prime_operator gives f' directly as a
+    step 1e-6: differential_rate over the demeaned sampled states, no
+    ascent; alternatively flux_prime_operator gives f' directly as a
     (possibly nonlocal) matrix.  The skewness residual is the largest
-    symmetric-part norm seen, zero exactly when the linearization is
-    skew (linear advection, odd difference operators).
+    zero-range residual of the compressed linearization M = V^T A V,
+    ||sym M||_2, zero exactly when M is skew (linear advection, odd
+    difference operators).
     """
     if grid.bc != "periodic":
         raise DegenerateArgumentError("conservation analysis assumes a periodic grid")
     N = grid.n
     Dc = _central_difference(grid)
     V = mass_zero_basis(N)
+    mass_zero = _seminorm(NormSpec(), V.T, V)
 
     if flux_prime_operator is not None:
-        Gs = np.asarray(flux_prime_operator, dtype=float)[None]
-    elif sampler is None:
+        A = -Dc @ np.asarray(flux_prime_operator, dtype=float)
+        return ConservationReport(replace(operator_rate(A, mass_zero), samples=1), _zero_range_residual(A, mass_zero))
+    if sampler is None:
         raise DegenerateArgumentError("state-dependent flux needs a sampler")
-    else:
+
+    def linearized(t, u):
         # a flux may take single states only, so f' is differenced state by state
-        fd = [_fd(lambda v: np.asarray(flux(v)), u, 1.0, 1e-6) for u in demean(sampler.points())]
-        Gs = np.array([np.diag(d) for d in fd])
-    M = V.T @ (-Dc @ Gs) @ V
-    rates = _operator_rates(M)
-    skews = np.linalg.norm((M + M.transpose(0, 2, 1)) / 2.0, 2, axis=(1, 2))
-    if flux_prime_operator is not None:
-        return ConservationReport(replace(rates[0], samples=1), float(skews[0]))
-    best = max((est.value for est in rates), default=-math.inf)
-    est = RateEstimate(best, SAMPLED, samples=len(rates), note="eigen-exact per sampled state")
-    return ConservationReport(est, float(skews.max(initial=0.0)))
+        return -Dc @ np.diag(_fd(lambda v: np.asarray(flux(v)), u, 1.0, 1e-6))
+
+    X = demean(sampler.points())
+    law = VectorField(lambda t, u: -Dc @ np.asarray(flux(u)), N, jac=linearized)
+    est = differential_rate(law, DomainSampler(Points(X), len(X), sampler.seed), mass_zero)
+    skew = _zero_range_residual([linearized(0.0, u) for u in X], mass_zero)
+    return ConservationReport(replace(est, note="eigen-exact per sampled state"), skew)
 
 
 # ----------------------------------------------------------- fixed points

@@ -366,8 +366,6 @@ def _ladder_limit(q):
         return math.inf if vals[-1] > 0 else -math.inf
     # q(h) = L + c h: with h' = h/10, L = (10 q(h') - q(h)) / 9.
     exts = (10.0 * vals[1:] - vals[:-1]) / 9.0
-    if len(exts) == 1:
-        return float(exts[0])
     gaps = np.abs(np.diff(exts))
     k = int(np.argmin(gaps))
     return float(exts[k + 1])

@@ -3,8 +3,12 @@
 The six sites that differentiate numerically (VectorField.jacobian,
 ManifoldSpec.jacobian, DiffeoSymmetry.push, WeightFamily.total_derivative,
 mirror._dual_hessian and conservation_rate's flux derivative) are pinned
-bit for bit on fixed inputs.  The residuals that evaluate a whole stack
-of points in one call are checked against per-point loops.
+bit for bit on fixed inputs, and the analytic derivatives that replace
+two of them are checked against the differences.  The residuals that
+evaluate a whole stack of points in one call are checked against
+per-point loops.  The zero-range residual is the pair of log norms
+max(mu(F), mu(-F)): checked against the closed forms, against a sip loop
+and against a dense sweep of 2 x 2 directions.
 """
 
 import math
@@ -12,7 +16,6 @@ import math
 import numpy as np
 import pytest
 
-from sipkit.couplings import _zero_range_residual
 from sipkit.invariants import (
     DiffeoSymmetry,
     ManifoldSpec,
@@ -20,10 +23,19 @@ from sipkit.invariants import (
     spatiotemporal_residual,
     subspace_certificate,
 )
-from sipkit.measures import Ball, Box, DomainSampler, VectorField, WeightFamily
+from sipkit.measures import (
+    Ball,
+    Box,
+    DomainSampler,
+    VectorField,
+    WeightFamily,
+    _zero_range_residual,
+    lognorm_closed,
+    operator_rate,
+)
 from sipkit.mirror import RegressionProblem, _dual_hessian
 from sipkit.pdelab import Grid1D, conservation_rate
-from sipkit.spaces import NormSpec, norm, sip
+from sipkit.spaces import NormSpec, norm, norm_rows, sip, sip_rows
 
 _POINTS = (np.array([0.3, -1.2, 2.5]), np.array([0.0, 0.7, -0.4]))
 
@@ -110,7 +122,9 @@ _FD_PINS = {
             [-1.1194378757295453e-06, 0.597227395432641, 2.702492972766022],
         ],
     ],
-    "conservation_rate": [3.7049573972626733, 3.802829689468425],
+    # the skewness residual re-recorded when it became the zero-range
+    # residual of the compressed linearization (last digit)
+    "conservation_rate": [3.7049573972626733, 3.802829689468422],
 }
 
 
@@ -146,9 +160,73 @@ def test_stacked_residuals_match_per_point_loops():
     assert want > 0.1
     assert got == pytest.approx(want, rel=1e-12)
 
-    # zero-range residual against the scalar sip loop
+    # zero-range residual: the larger log norm of F and -F, at least every
+    # probe of a scalar sip loop
     F = np.random.default_rng(5).normal(size=(4, 4))
-    for spec in (NormSpec(p=3.0), NormSpec(p=1.5, weight=np.diag([1.0, 2.0, 0.5, 3.0]))):
+    specs = (NormSpec(p=1.0), NormSpec(p=math.inf), NormSpec(p=3.0))
+    for spec in specs + (NormSpec(p=1.5, weight=np.diag([1.0, 2.0, 0.5, 3.0])),):
+        want = max(operator_rate(F, spec).value, operator_rate(-F, spec).value)
+        got = _zero_range_residual(F, spec)
+        assert got == pytest.approx(want, rel=1e-9)
         probes = np.random.default_rng(0).normal(size=(200, 4))
-        want = max(abs(sip(x / norm(x, spec), F @ (x / norm(x, spec)), spec)) for x in probes)
-        assert _zero_range_residual(F, spec) == pytest.approx(want, rel=1e-12)
+        assert got >= max(abs(sip(x / norm(x, spec), F @ (x / norm(x, spec)), spec)) for x in probes)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_zero_range_residual_is_the_closed_log_norm_pair(p):
+    rng = np.random.default_rng(5)
+    for F in [rng.normal(size=(n, n)) for n in (2, 3, 4, 6)]:
+        want = max(lognorm_closed(F, p).value, lognorm_closed(-F, p).value)
+        assert _zero_range_residual(F, NormSpec(p=p)) == want
+    # the rotation generator's numerical range is [-1, 1] at p in {1, inf}
+    assert _zero_range_residual(np.array([[0.0, 1.0], [-1.0, 0.0]]), NormSpec(p=p)) == 1.0
+
+
+def test_zero_range_residual_matches_a_dense_angle_sweep():
+    # every 2 x 2 direction is (cos a, sin a) up to sign and scale; at p in
+    # {1, inf} the pairing has kinks, so the sweep reaches the supremum to
+    # about two grid steps (pi / 1e5 each)
+    a = np.linspace(0.0, math.pi, 100_001)
+    V = np.column_stack([np.cos(a), np.sin(a)])
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        F = rng.normal(size=(2, 2))
+        for p, tol in ((1.0, 2e-4), (math.inf, 2e-4), (3.0, 2e-9)):
+            spec = NormSpec(p=p)
+            want = float(np.max(np.abs(sip_rows(V, V @ F.T, spec)) / norm_rows(V, spec) ** 2))
+            got = _zero_range_residual(F, spec)
+            assert got == pytest.approx(want, abs=tol * max(1.0, want))
+            assert got >= want - 1e-12 * max(1.0, want)  # no swept angle exceeds it
+
+
+def test_weight_family_analytic_derivatives_match_the_differences():
+    def theta(t, v):
+        return np.array([[2.0 + np.sin(t), v[0]], [0.1 * v[1], 1.0 + v[1] ** 2 + t * t]])
+
+    analytic = WeightFamily(
+        theta=theta,
+        dt=lambda t, v: np.array([[np.cos(t), 0.0], [0.0, 2.0 * t]]),
+        du=lambda t, v, w: np.array([[0.0, w[0]], [0.1 * w[1], 2.0 * v[1] * w[1]]]),
+    )
+    differenced = WeightFamily(theta=theta)
+    u, w = np.array([0.4, -0.7]), np.array([0.5, -0.25])
+    want = analytic.total_derivative(0.7, u, w)
+    assert np.abs(want - differenced.total_derivative(0.7, u, w)).max() <= 1e-9
+    # a zero direction leaves the time derivative alone
+    dt = analytic.dt(0.7, u)
+    assert analytic.total_derivative(0.7, u, np.zeros(2)).tolist() == dt.tolist()
+    assert np.abs(differenced.total_derivative(0.7, u, np.zeros(2)) - dt).max() <= 1e-9
+
+
+def test_diffeo_symmetry_analytic_push_matches_the_difference():
+    def h(v):
+        return np.array([v[0] + 0.1 * v[1] ** 2, np.exp(0.2 * v[1]), v[2] * v[0]])
+
+    def dh(v):
+        return np.array([[1.0, 0.2 * v[1], 0.0], [0.0, 0.2 * np.exp(0.2 * v[1]), 0.0], [v[2], 0.0, v[0]]])
+
+    w = np.array([0.5, -0.25, 1.5])
+    for u in _POINTS:
+        want = DiffeoSymmetry(h=h, dh=dh).push(u, w)
+        assert np.abs(want - DiffeoSymmetry(h=h).push(u, w)).max() <= 1e-10
+        assert DiffeoSymmetry(h=h).push(u, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]

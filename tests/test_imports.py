@@ -16,8 +16,12 @@ exact kinds (EIGEN, EXACT, or their strings) appear only in
 ``pdelab.poincare_rate``, whose grid spectra are closed forms of their
 own.  Every other exact rate comes from ``measures._operator_rates``.
 
-``invariants`` draws no random probes and imports no quotient kernel:
-every invariant-set rate is an inner log norm from ``_operator_rates``.
+Every ``RateEstimate``, sampled ones included, is built in ``measures``
+(and in ``poincare_rate``).  No module but ``measures`` and ``spaces``
+draws random probes, calls ``eigvalsh`` or imports a quotient kernel:
+every matrix is rated by ``_operator_rates``.  Two random draws start
+simulations and are allowed: ``couplings.product_lp_rate``'s
+perturbations and ``cli._run_poisson``'s random ``u0``.
 """
 
 import ast
@@ -140,26 +144,61 @@ def test_exact_rate_kinds_stay_in_measures(path):
     assert not stray, f"{path.name} builds exact rates outside measures: {stray}"
 
 
-_PROBE_DRAWS = {"default_rng", "normal"}
+_RATE_ESTIMATE_SITES = {("pdelab.py", "poincare_rate")}
+
+
+def _calls(tree, names):
+    """(top-level definition or None, called name, line) of every call of
+    one of names, bare or as an attribute."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name in names:
+                    yield owner, name, node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "measures.py"], ids=lambda p: p.stem)
+def test_rate_estimates_are_built_in_measures(path):
+    # sampled estimates too: every one comes from a measures rate functional
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stray = [
+        (owner, line)
+        for owner, _, line in _calls(tree, {"RateEstimate"})
+        if (path.name, owner) not in _RATE_ESTIMATE_SITES
+    ]
+    assert not stray, f"{path.name} builds RateEstimates outside measures: {stray}"
+
+
+_PROBE_DRAWS = {"default_rng", "normal", "uniform", "integers", "choice", "random"}
 _PROBE_KERNELS = {"_quotient_rows", "sip_rows"}
+# random starts of simulations, not probes of a rate
+_SIMULATION_DRAWS = {("couplings.py", "product_lp_rate"), ("cli.py", "_run_poisson")}
 
 
 def test_invariants_draw_no_probes():
-    # every invariant-set rate is an inner log norm from _operator_rates;
-    # a random draw or a quotient kernel here is a probe loop beside it
-    tree = ast.parse((SRC / "invariants.py").read_text())
-    draws = sorted(
-        node.attr if isinstance(node, ast.Attribute) else node.id
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.Attribute) and node.attr in _PROBE_DRAWS)
-        or (isinstance(node, ast.Name) and node.id in _PROBE_DRAWS)
-    )
-    kernels = sorted(
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-        if alias.name.split(".")[-1] in _PROBE_KERNELS
-    )
-    assert not draws, f"invariants.py draws random probes: {draws}"
-    assert not kernels, f"invariants.py imports quotient kernels: {kernels}"
+    # every module but measures and spaces: a matrix is rated by
+    # _operator_rates alone, so a random draw, a symmetric eigensolve or a
+    # quotient kernel here would be a probe loop or a closed form beside it
+    for path in MODULES:
+        if path.name in ("measures.py", "spaces.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        draws = sorted(
+            (owner, name, line)
+            for owner, name, line in _calls(tree, _PROBE_DRAWS)
+            if (path.name, owner) not in _SIMULATION_DRAWS
+        )
+        eigen = sorted(line for _, _, line in _calls(tree, {"eigvalsh"}))
+        kernels = sorted(
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if alias.name.split(".")[-1] in _PROBE_KERNELS
+        )
+        assert not draws, f"{path.name} draws random probes: {draws}"
+        assert not eigen, f"{path.name} calls eigvalsh at lines {eigen}"
+        assert not kernels, f"{path.name} imports quotient kernels: {kernels}"

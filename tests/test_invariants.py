@@ -257,6 +257,13 @@ def test_newton_projection_accuracy():
     assert abs(np.linalg.norm(z2) - 1.0) < 1e-10
 
 
+def test_newton_projection_without_a_zero_set_is_refused():
+    # u.u + 1 never vanishes: the iterations end short of the zero set
+    man = ManifoldSpec(lambda u: np.array([u @ u + 1.0]), dim=2, codim=1)
+    with pytest.raises(RegularityError, match="did not converge"):
+        newton_project(man, np.array([0.3, -0.2]))
+
+
 def test_manifold_certificate_circle():
     gf = hopf_field()
     man = circle_manifold()
