@@ -112,20 +112,18 @@ def _named_option(table, key, value):
     return name, table[name], options
 
 
-# A handler takes (seed, outdir) and the scenario's parameters as keyword-only
+# A handler takes the seed and the scenario's parameters as keyword-only
 # arguments, which declare its kind: a key with no default is required, one
 # with a default optional.  It returns (results, series, passed).
 
 
-def _run_measure(seed, outdir, *, matrix, p, weight=None):
+def _run_measure(seed, *, matrix, p, weight=None):
     spec = NormSpec(p=float(p), weight=None if weight is None else _matrix(weight))
     est = operator_rate(_matrix(matrix), spec, seed=seed)
     return {"lognorm": _rate_entry(est)}, {}, True
 
 
-def _run_verify(
-    seed, outdir, *, matrix, p, rate, overshoot=1.0, t_span=(0.0, 1.0), step=1e-2, pairs=10, radius=1.0
-):
+def _run_verify(seed, *, matrix, p, rate, overshoot=1.0, t_span=(0.0, 1.0), step=1e-2, pairs=10, radius=1.0):
     from .flows import verify_contraction
     A = _matrix(matrix)
     spec = NormSpec(p=float(p))
@@ -148,7 +146,7 @@ def _run_verify(
     return results, {}, bool(res.passed)
 
 
-def _run_subspace(seed, outdir, *, matrix, projection, p, tol=1e-8, samples=100, radius=1.0):
+def _run_subspace(seed, *, matrix, projection, p, tol=1e-8, samples=100, radius=1.0):
     from .invariants import SubspaceSpec, subspace_certificate
     A = _matrix(matrix)
     f = VectorField.linear(A)
@@ -162,7 +160,7 @@ def _run_subspace(seed, outdir, *, matrix, projection, p, tol=1e-8, samples=100,
     return results, {}, bool(rep.passed)
 
 
-def _run_manifold(seed, outdir, *, system, omega=3.0, mu=1.0, tol=1e-8):
+def _run_manifold(seed, *, system, omega=3.0, mu=1.0, tol=1e-8):
     from .invariants import ManifoldSpec, manifold_certificate
     name = str(system)
     if name != "hopf":
@@ -192,7 +190,7 @@ def _run_manifold(seed, outdir, *, system, omega=3.0, mu=1.0, tol=1e-8):
     return results, {}, bool(rep.passed)
 
 
-def _run_couple(seed, outdir, *, blocks, coupling):
+def _run_couple(seed, *, blocks, coupling):
     from .couplings import BlockSystem, feedback_certificate
     J1, J2 = (_matrix(b) for b in blocks)
     B = _matrix(coupling)
@@ -221,9 +219,7 @@ def _initial_profile(u0, grid):
     return np.asarray(u0, dtype=float)
 
 
-def _run_pde_rd(
-    seed, outdir, *, n, bc, alpha, t_span, reaction=0.0, u0="sin", h_t=None, length=1.0, claimed_rate=None
-):
+def _run_pde_rd(seed, *, n, bc, alpha, t_span, reaction=0.0, u0="sin", h_t=None, length=1.0, claimed_rate=None):
     from .flows import overshoot_fit
     from .pdelab import Grid1D, demean, poincare_rate, rd_simulate, total_mass
     grid = Grid1D(int(n), str(bc), float(length))
@@ -231,8 +227,7 @@ def _run_pde_rd(
     c = float(reaction)
     reaction = None if c == 0.0 else (lambda t, U: c * U)
     u0 = _initial_profile(u0, grid)
-    h_t = 0.9 * grid.h**2 / (2.0 * alpha) if h_t is None else float(h_t)
-    tr = rd_simulate(alpha, reaction, grid, u0, tuple(t_span), h_t)
+    tr = rd_simulate(alpha, reaction, grid, u0, tuple(t_span), None if h_t is None else float(h_t))
     dist = np.array([np.linalg.norm(demean(s)) for s in tr.states])
     fitted, kappa = overshoot_fit(tr.times, dist)
     drift = float(np.max(np.abs(total_mass(grid, tr.states) - total_mass(grid, tr.states[0]))))
@@ -260,7 +255,7 @@ _FLUXES = {
 }
 
 
-def _run_pde_claw(seed, outdir, *, n, flux, t_span, amplitude=1.0, h_t=1e-3, tol=1e-8, length=1.0):
+def _run_pde_claw(seed, *, n, flux, t_span, amplitude=1.0, h_t=1e-3, tol=1e-8, length=1.0):
     from .flows import integrate
     from .pdelab import Grid1D, _central_difference, conservation_rate, total_mass
     grid = Grid1D(int(n), "periodic", float(length))
@@ -297,7 +292,7 @@ _FORCINGS = {
 }
 
 
-def _run_poisson(seed, outdir, *, n, forcing, bc="dirichlet", tol=1e-8, u0=None):
+def _run_poisson(seed, *, n, forcing, bc="dirichlet", tol=1e-8, u0=None):
     from .pdelab import Grid1D, build_laplacian, fixed_point_solve
     grid = Grid1D(int(n), str(bc))
     L = build_laplacian(grid)
@@ -324,7 +319,7 @@ def _run_poisson(seed, outdir, *, n, forcing, bc="dirichlet", tol=1e-8, u0=None)
     return results, series, bool(rep.converged)
 
 
-def _run_regress(seed, outdir, *, p, features, targets, alpha, steps, u0=None, tol=1e-8):
+def _run_regress(seed, *, p, features, targets, alpha, steps, u0=None, tol=1e-8):
     from .mirror import RegressionProblem, mirror_descent_run
     rows = _matrix(features)
     ys = np.asarray(targets, dtype=float)
@@ -354,7 +349,7 @@ def _run_regress(seed, outdir, *, p, features, targets, alpha, steps, u0=None, t
     return results, series, bool(rep.final_risk <= float(tol) and not rep.warned)
 
 
-def _run_symmetry(seed, outdir, *, matrix, transform, p=None, tol=1e-8, samples=50, radius=1.0):
+def _run_symmetry(seed, *, matrix, transform, p=None, tol=1e-8, samples=50, radius=1.0):
     # p is accepted and not read: the equivariance residual is Euclidean
     from .invariants import LinearSymmetry, equivariance_residual
     A = _matrix(matrix)
@@ -413,10 +408,12 @@ def _fail(message, code=1) -> int:
     return code
 
 
-def _checked_scenario(path):
+def _checked_scenario(path, seed_override=None):
     """(document, 0) for a scenario object of a known kind, a parameter
-    object with the right keys and option keys, and no non-string output_dir;
-    otherwise (None, exit code) after printing why: 64 for an unknown kind, else 1."""
+    object with the right keys, option names and option keys, no non-string
+    output_dir, and an integer seed (seed_override, when given, in place of
+    the document's), which the document's "seed" then holds; otherwise
+    (None, exit code) after printing why: 64 for an unknown kind, else 1."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -433,12 +430,19 @@ def _checked_scenario(path):
     if not isinstance(doc.get("output_dir", "."), str):
         return None, _fail("scenario invalid: output_dir must be a string")
     problems = _key_problems(KINDS[kind], params)
-    for key, value in params.items():  # an unknown option name is refused by run
-        if key in _OPTIONS and isinstance(value, dict) and str(value.get("name")) in _OPTIONS[key]:
-            _, entry, options = _named_option(_OPTIONS[key], key, value)
+    for key in [k for k in _OPTIONS if k in params]:
+        try:
+            _, entry, options = _named_option(_OPTIONS[key], key, params[key])
             problems += _key_problems(entry, options, f"{key} ")
+        except SipkitError as exc:
+            problems.append(str(exc))
     if problems:
         return None, _fail(f"scenario invalid: {'; '.join(problems)}")
+    raw_seed = doc.get("seed", 0) if seed_override is None else seed_override
+    try:
+        doc["seed"] = int(raw_seed)
+    except (TypeError, ValueError, OverflowError):
+        return None, _fail(f"scenario invalid: seed {raw_seed!r} is not an integer")
     return doc, 0
 
 
@@ -451,15 +455,10 @@ def validate_scenario(path) -> int:
 
 def run_scenario(path, out_override=None, seed_override=None) -> int:
     """Run a scenario file, with seed_override in place of its seed when given."""
-    doc, code = _checked_scenario(path)
+    doc, code = _checked_scenario(path, seed_override)
     if doc is None:
         return code
-    kind, params = doc["kind"], doc.get("parameters", {})
-    raw_seed = doc.get("seed", 0) if seed_override is None else seed_override
-    try:
-        seed = int(raw_seed)
-    except (TypeError, ValueError, OverflowError):
-        return _fail(f"scenario invalid: seed {raw_seed!r} is not an integer")
+    kind, params, seed = doc["kind"], doc.get("parameters", {}), doc["seed"]
     outdir = Path(out_override if out_override is not None else doc.get("output_dir", "."))
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -468,7 +467,7 @@ def run_scenario(path, out_override=None, seed_override=None) -> int:
 
     started = time.perf_counter()
     try:
-        results, series, passed = KINDS[kind](seed, outdir, **params)
+        results, series, passed = KINDS[kind](seed, **params)
     except SipkitError as exc:
         return _fail(f"error running {kind} scenario: {exc}")
     except Exception as exc:  # malformed parameter payloads land here

@@ -334,9 +334,13 @@ def continuum_rate(
     f_family(t, x, u) is a field for every index x; phi >= 0 weights the
     indices.  Bound: (sum_i w_i phi(x_i)) * sup_i rate(f(.,x_i,.)).  The
     direct rate of the combined field sum_i w_i phi(x_i) f(t, x_i, u) is
-    attached; subadditivity puts it at or below the bound.
+    attached; subadditivity puts it at or below the bound.  nodes and
+    weights are given together or not at all (the 64-node trapezoid rule
+    on [0, 1]).
     """
-    if nodes is None or weights is None:
+    if (nodes is None) != (weights is None):
+        raise DegenerateArgumentError("give quadrature nodes and weights together, or neither")
+    if nodes is None:
         nodes, weights = trapezoid_rule()
     nodes = np.asarray(nodes, dtype=float)
     weights = np.asarray(weights, dtype=float)

@@ -747,30 +747,30 @@ def weighted_rate(
     f: VectorField,
     theta,
     spec: NormSpec = NormSpec(),
-    mode: str = "constant",
     sampler: DomainSampler | None = None,
     times=(0.0,),
 ) -> RateEstimate:
-    """Contraction rate of f measured through the weight.
+    """Contraction rate of f measured through the weight; theta's type
+    picks the rate.
 
-    mode='constant' conjugates by a fixed matrix: integral_rate in the
-    weighted norm (for an affine field, operator_rate of its matrix).  mode='varying' evaluates the generator
-    d(Theta)/dt + Theta Df at sampled states and returns the sup of the
-    log norm of (generator) Theta^{-1} in the base norm.
+    A matrix theta is a constant weight: integral_rate in the weighted
+    norm (for an affine field, operator_rate of its matrix).  A
+    WeightFamily, or a callable (t, u) -> Theta, varies: the generator
+    d(Theta)/dt + Theta Df is evaluated at sampled states and the rate is
+    the sup of the log norm of (generator) Theta^{-1} in the base norm.
     """
     if spec.transform is not None:
         raise ConditioningError("pass the weight via `theta`, not inside spec")
-    if mode == "constant":
+    if callable(theta):
+        theta = WeightFamily(theta=theta)
+    if not isinstance(theta, WeightFamily):
         return integral_rate(f, sampler, NormSpec(p=spec.p, weight=theta, field_kind=spec.field_kind), times=times)
-    if mode != "varying":
-        raise DegenerateArgumentError(f"unknown mode {mode!r}")
-    fam = theta if isinstance(theta, WeightFamily) else WeightFamily(theta=theta)
     if sampler is None:
         raise DegenerateArgumentError("varying weights need a DomainSampler")
 
     def generator(t, u):
-        W = fam.matrix(t, u)
-        G = fam.total_derivative(t, u, f(t, u)) + W @ f.jacobian(t, u)
+        W = theta.matrix(t, u)
+        G = theta.total_derivative(t, u, f(t, u)) + W @ f.jacobian(t, u)
         return G @ np.linalg.inv(W)
 
     def rates_at(t, X):

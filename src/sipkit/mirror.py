@@ -123,8 +123,11 @@ class DualState:
         return DualState.from_dual(self.u_star + delta, self.p)
 
 
-def _dual_rows(prob: RegressionProblem) -> np.ndarray:
+def _dual_rows(prob: RegressionProblem, u: np.ndarray) -> np.ndarray:
+    """Duality-mapped feature rows, once the state u is checked to pair with them."""
     K = prob.feature_matrix()
+    if K.shape[1] != u.shape[0]:
+        raise DimensionError(f"state has {u.shape[0]} coordinates, features {K.shape[1]}")
     return np.array([duality_map(k, prob.p) for k in K])
 
 
@@ -135,10 +138,7 @@ def predictions(u, prob: RegressionProblem) -> np.ndarray:
     equals sip(feature_i, u) whenever the feature is nonzero.
     """
     u = as_vector(u)
-    D = _dual_rows(prob)
-    if D.shape[1] != u.shape[0]:
-        raise DimensionError(f"state has {u.shape[0]} coordinates, features {D.shape[1]}")
-    return D @ u
+    return _dual_rows(prob, u) @ u
 
 
 def _risk_grad_from(D: np.ndarray, y: np.ndarray, loss: Loss, u: np.ndarray):
@@ -156,16 +156,13 @@ def risk_and_gradient(u, prob: RegressionProblem) -> Tuple[float, np.ndarray]:
     gradient of the risk, so a finite-difference oracle applies directly.
     """
     u = as_vector(u)
-    D = _dual_rows(prob)
-    if D.shape[1] != u.shape[0]:
-        raise DimensionError(f"state has {u.shape[0]} coordinates, features {D.shape[1]}")
-    return _risk_grad_from(D, prob.targets(), prob.loss, u)
+    return _risk_grad_from(_dual_rows(prob, u), prob.targets(), prob.loss, u)
 
 
 def _dual_hessian(u: np.ndarray, prob: RegressionProblem) -> np.ndarray:
     """H = d(DL)/d(u*): _fd_jacobian, at u* = duality_map(u), of the risk
     gradient through the inverse map, on dual rows built once."""
-    D, y = _dual_rows(prob), prob.targets()
+    D, y = _dual_rows(prob, u), prob.targets()
 
     def gradient(ustar):
         return _risk_grad_from(D, y, prob.loss, inverse_duality(ustar, prob.p))[1]
@@ -228,9 +225,7 @@ def mirror_descent_run(
     checkpoints = np.unique(np.linspace(0, steps, num=min(rate_checkpoints, steps + 1), dtype=int))
     snapshots = {}
 
-    D = _dual_rows(prob)
-    if D.shape[1] != u.shape[0]:
-        raise DimensionError(f"state has {u.shape[0]} coordinates, features {D.shape[1]}")
+    D = _dual_rows(prob, u)
     y = prob.targets()
 
     risks = np.empty(steps + 1)

@@ -100,6 +100,10 @@ class Grid1D:
             raise DegenerateArgumentError("domain length must be positive")
 
     @property
+    def axes(self):
+        return (self,)
+
+    @property
     def h(self):
         return _spacing(self.n, self.bc, self.length)
 
@@ -120,26 +124,22 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Grid2D:
+    """Tensor grid of two Grid1D axes, kept in `axes` (not a field), which
+    check each size, the bc and each length; a single size n means (n, n)."""
+
     n: tuple
     bc: str = "dirichlet"
     lengths: tuple = (1.0, 1.0)
 
     def __post_init__(self):
-        n = self.n if isinstance(self.n, tuple) else (int(self.n), int(self.n))
-        object.__setattr__(self, "n", (int(n[0]), int(n[1])))
-        if min(self.n) < 3:
-            raise DimensionError("grid needs at least 3 interior points per axis")
-        if self.bc not in _BCS:
-            raise DegenerateArgumentError(f"unknown boundary condition '{self.bc}'")
-        if min(self.lengths) <= 0:
-            raise DegenerateArgumentError("domain lengths must be positive")
-
-    @property
-    def axes(self):
-        return (
-            Grid1D(self.n[0], self.bc, self.lengths[0]),
-            Grid1D(self.n[1], self.bc, self.lengths[1]),
-        )
+        n = (self.n, self.n) if np.ndim(self.n) == 0 else tuple(self.n)
+        lengths = tuple(self.lengths)
+        if len(n) != 2 or len(lengths) != 2:
+            raise DimensionError(f"a 2-d grid needs two sizes and two lengths, got {n} and {lengths}")
+        axes = tuple(Grid1D(int(k), self.bc, ell) for k, ell in zip(n, lengths))
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "n", tuple(ax.n for ax in axes))
+        object.__setattr__(self, "lengths", tuple(ax.length for ax in axes))
 
     @property
     def h(self):
@@ -275,7 +275,7 @@ def demean(u):
 # ---------------------------------------------------------- spectral gap
 
 
-def poincare_rate(grid, spec: NormSpec = NormSpec()) -> RateEstimate:
+def poincare_rate(grid) -> RateEstimate:
     """l2 rate of the (projected) Laplacian: the negated spectral gap.
 
     Closed forms of the Kronecker-summed axis spectra.  dirichlet: the
@@ -285,14 +285,11 @@ def poincare_rate(grid, spec: NormSpec = NormSpec()) -> RateEstimate:
     -4 pi^2); neumann: the constant mode stays, so the rate degenerates
     to 0 (flagged, not an error).
     """
-    if spec.p != 2.0 or spec.transform is not None:
-        raise UnsupportedNormError("spectral-gap rate is an l2 computation")
-    axes = grid.axes if isinstance(grid, Grid2D) else (grid,)
     if grid.bc == "dirichlet":
-        val = sum(-(4.0 / g.h**2) * math.sin(math.pi / (2 * (g.n + 1))) ** 2 for g in axes)
+        val = sum(-(4.0 / g.h**2) * math.sin(math.pi / (2 * (g.n + 1))) ** 2 for g in grid.axes)
         return RateEstimate(val, EIGEN)
     if grid.bc == "periodic":
-        val = max(-(4.0 / g.h**2) * math.sin(math.pi / g.n) ** 2 for g in axes)
+        val = max(-(4.0 / g.h**2) * math.sin(math.pi / g.n) ** 2 for g in grid.axes)
         return RateEstimate(val, EIGEN, note="mass-zero projection applied")
     return RateEstimate(0.0, EIGEN, note="degenerate: constant mode is invariant")
 
@@ -300,19 +297,13 @@ def poincare_rate(grid, spec: NormSpec = NormSpec()) -> RateEstimate:
 def total_mass(grid, u):
     """Discrete integral h * sum(u); rows of a trajectory give a series."""
     u = np.asarray(u, dtype=float)
-    cell = grid.h if isinstance(grid, Grid1D) else grid.axes[0].h * grid.axes[1].h
-    return cell * u.sum(axis=-1)
+    return math.prod(ax.h for ax in grid.axes) * u.sum(axis=-1)
 
 
 # ------------------------------------------------------------- simulation
 
 
-def _stability_limit(grid, alphas):
-    d = grid.ndim
-    return grid.h**2 / (2.0 * d * max(alphas))
-
-
-def rd_simulate(alphas, reaction, grid, u0, t_span, h_t) -> Trajectory:
+def rd_simulate(alphas, reaction, grid, u0, t_span, h_t=None) -> Trajectory:
     """Method-of-lines reaction-diffusion integration (RK4 in time).
 
     State stacks the components: u = (u_1, ..., u_m), du_i/dt =
@@ -320,7 +311,8 @@ def rd_simulate(alphas, reaction, grid, u0, t_span, h_t) -> Trajectory:
     shape (m, N) and returns the same shape; None means pure diffusion.
     The Laplacian is applied as the Kronecker sum of its axis operators,
     never built as an N x N matrix: memory O(nx^2 + ny^2) on a Grid2D.
-    The explicit stepper enforces h_t <= h^2 / (2 d max(alpha)).
+    The explicit stepper enforces h_t <= h^2 / (2 d max(alpha)); h_t
+    defaults to 0.9 of that limit.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if np.any(alphas <= 0):
@@ -332,8 +324,10 @@ def rd_simulate(alphas, reaction, grid, u0, t_span, h_t) -> Trajectory:
         u0 = u0[None, :]
     if u0.shape != (m, N):
         raise DimensionError(f"initial state has shape {u0.shape}, expected {(m, N)}")
-    limit = _stability_limit(grid, alphas)
-    if h_t > limit:
+    limit = grid.h**2 / (2.0 * grid.ndim * alphas.max())
+    if h_t is None:
+        h_t = 0.9 * limit
+    elif h_t > limit:
         raise StepSizeError(
             f"explicit step {h_t:.3e} exceeds the diffusion stability limit",
             suggested=limit,
@@ -393,8 +387,6 @@ def _suppression_report(alpha, f, grid, sampler, times, t_span, h_t, tol):
 
     x = grid.points
     u0 = 0.5 + 0.3 * np.sin(2.0 * np.pi * x / grid.length)
-    if h_t is None:
-        h_t = 0.9 * _stability_limit(grid, (alpha,))
     tr = rd_simulate(
         (alpha,), lambda t, U: np.asarray(f(t, U[0]))[None, :], grid, u0, (0.0, t_span), h_t
     )
@@ -449,8 +441,6 @@ def _excitation_report(alphas, f, grid, witness, times, t_span, h_t, tol):
     Ws = [np.vstack([Vz, Vz]) / math.sqrt(2.0), np.vstack([Vz, -Vz]) / math.sqrt(2.0)]
     sum_rate, diff_rate = (max(est.value for est in _operator_rates(Js, _seminorm(NormSpec(), W.T, W))) for W in Ws)
 
-    if h_t is None:
-        h_t = 0.9 * _stability_limit(grid, (a1, a2))
     x = grid.points
     bump = demean(0.2 * np.cos(4.0 * np.pi * x / grid.length) + 0.1 * np.sin(2.0 * np.pi * x / grid.length))
     u0 = np.vstack([ustar + bump, -ustar + bump])

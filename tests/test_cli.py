@@ -343,6 +343,35 @@ def test_non_integer_scenario_seed_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err == "scenario invalid: seed 'abc' is not an integer\n"
 
 
+_CLAW = {"n": 16, "flux": "advection", "t_span": [0.0, 0.01]}
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        ({"kind": "pde-claw", "seed": "abc", "parameters": _CLAW}, 1),
+        ({"kind": "pde-claw", "parameters": {**_CLAW, "flux": "nope"}}, 1),
+        ({"kind": "pde-claw", "parameters": {**_CLAW, "speed": 2}}, 1),
+        ({"kind": "pde-claw", "parameters": {"n": 16, "flux": "advection"}}, 1),
+        ([1, 2], 1),
+        ({"kind": "pde-cl4w", "parameters": _CLAW}, 64),
+    ],
+    ids=["bad-seed", "unknown-option-name", "unknown-key", "missing-key", "non-object", "unknown-kind"],
+)
+def test_validate_and_run_exit_alike_on_malformed_scenarios(tmp_path, doc, code):
+    f = write_scenario(tmp_path, "bad", doc)
+    assert main(["validate", str(f)]) == code
+    out = tmp_path / "bad-out"
+    assert main(["run", str(f), "--out", str(out)]) == code
+    assert not (out / "report.json").exists()
+
+
+def test_seed_flag_runs_a_document_with_a_bad_seed(tmp_path):
+    doc = {"kind": "measure", "seed": "abc", "parameters": {"matrix": [[-1]], "p": 2}}
+    code, rep, _ = run_scen(tmp_path, "flagseed", doc, seed=3)
+    assert (code, rep["seed"]) == (0, 3)
+
+
 def test_bad_parameter_payload_is_an_error(tmp_path):
     f = write_scenario(
         tmp_path, "ragged", {"kind": "measure", "parameters": {"matrix": [[1, 2], [3]], "p": 2}}
@@ -480,14 +509,14 @@ def test_benchmark_scenarios_validate_and_read_only_listed_keys(tmp_path):
         assert main(["validate", str(f)]) == 0, kind
         required, optional = parameter_keys(KINDS[kind])
         # a handler receives its parameters as keywords, so only declared ones
-        KINDS[kind](0, tmp_path, **json.loads(json.dumps(params)))
+        KINDS[kind](0, **json.loads(json.dumps(params)))
         assert set(params) <= set(required) | set(optional), kind
 
 
 def test_readme_parameter_keys_match_the_kind_table(tmp_path):
     import re
 
-    from sipkit.cli import KINDS, parameter_keys
+    from sipkit.cli import _OPTIONS, KINDS, parameter_keys
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("Parameter keys per kind")[1].split("\n## ")[0]
@@ -499,7 +528,9 @@ def test_readme_parameter_keys_match_the_kind_table(tmp_path):
     for kind, keys in listed.items():
         required, optional = parameter_keys(KINDS[kind])
         assert keys == set(required) | set(optional), kind
-        f = write_scenario(tmp_path, kind, {"kind": kind, "parameters": dict.fromkeys(keys, 1)})
+        # validate checks option names, so an option key gets a known one
+        params = {k: next(iter(_OPTIONS[k])) if k in _OPTIONS else 1 for k in keys}
+        f = write_scenario(tmp_path, kind, {"kind": kind, "parameters": params})
         assert main(["validate", str(f)]) == 0, kind
     example = json.loads(readme.split("```json")[1].split("```")[0])
     f = write_scenario(tmp_path, "example", example)

@@ -325,6 +325,17 @@ def test_continuum_weight_validation():
         continuum_rate(lambda t, x, u: -u, lambda x: -1.0, NormSpec(), samp)
 
 
+def test_continuum_refuses_half_given_quadrature():
+    nodes, weights = trapezoid_rule(3, length=5.0)
+    samp = interval_sampler()
+    for half in ({"nodes": nodes}, {"weights": weights}):
+        with pytest.raises(DegenerateArgumentError):
+            continuum_rate(lambda t, x, u: -u, lambda x: 1.0, NormSpec(), samp, **half)
+    rep = continuum_rate(lambda t, x, u: -u, lambda x: 1.0, NormSpec(), samp, nodes=nodes, weights=weights)
+    assert rep.nodes == 3
+    assert abs(rep.weighted_mass - 5.0) < 1e-12
+
+
 def test_continuum_subadditivity_property():
     rng = np.random.default_rng(61)
     samp = interval_sampler(count=30, seed=7)

@@ -332,7 +332,7 @@ def test_weighted_rate_varying_pinned():
     )
     fam = WeightFamily(theta=lambda t, u: np.array([[1.0 + 0.2 * u[0] ** 2, 0.0], [0.1 * u[1], 1.0]]))
     samp = DomainSampler(Box((-1.0, -1.0), (1.0, 1.0)), count=20, seed=7)
-    est = weighted_rate(f, fam, NormSpec(p=2.0), mode="varying", sampler=samp)
+    est = weighted_rate(f, fam, NormSpec(p=2.0), sampler=samp)
     _assert_pinned(est, 20, 50, -0.9212277899052711)
 
 
@@ -415,10 +415,19 @@ def test_weighted_rate_varying_scalar_analytic():
     f = VectorField.autonomous(lambda u: -2.0 * u + 0.1 * u**3, 1)
     fam = WeightFamily(theta=lambda t, u: np.array([[math.exp(a * t)]]))
     samp = DomainSampler(Box((-1.0,), (1.0,)), count=50, seed=3)
-    est = weighted_rate(f, fam, NormSpec(p=2.0), mode="varying", sampler=samp, times=(0.0, 0.5))
+    est = weighted_rate(f, fam, NormSpec(p=2.0), sampler=samp, times=(0.0, 0.5))
     fprime_max = -2.0 + 0.3  # at |u| = 1
     assert est.kind == "sampled-lower-bound"
     assert est.value == pytest.approx(a + fprime_max, abs=1e-3)
+
+
+def test_weighted_rate_callable_weight_varies_like_its_family():
+    f = VectorField.autonomous(lambda u: -2.0 * u + 0.1 * u**3, 1)
+    theta = lambda t, u: np.array([[1.0 + u[0] ** 2]])  # noqa: E731
+    samp = DomainSampler(Box((-1.0,), (1.0,)), count=20, seed=3)
+    est = weighted_rate(f, theta, NormSpec(p=2.0), sampler=samp)
+    assert est == weighted_rate(f, WeightFamily(theta=theta), NormSpec(p=2.0), sampler=samp)
+    assert est.note == "varying weight"
 
 
 def test_weighted_rate_rejects_weight_inside_spec():

@@ -224,6 +224,15 @@ def test_run_validation():
         mirror_descent_run(prob, 0.1, 10, np.zeros(4))
 
 
+def test_every_entry_checks_the_state_feature_pairing():
+    from sipkit.mirror import _dual_hessian
+
+    prob, *_ = spread_row_problem()
+    for call in (predictions, risk_and_gradient, _dual_hessian):
+        with pytest.raises(DimensionError, match="state has 4 coordinates, features 3"):
+            call(np.zeros(4), prob)
+
+
 def test_path_rate_equals_per_checkpoint_loop():
     from sipkit.measures import operator_rate
     from sipkit.mirror import _dual_hessian

@@ -93,6 +93,33 @@ def test_difference_operator_shapes_and_composition():
         difference_operator(Grid2D(4, "dirichlet"), 2)
 
 
+def test_grid2d_is_its_two_axes():
+    g = Grid2D([8, 6], "neumann", [0.5, 2.0])
+    assert g == Grid2D((8, 6), "neumann", (0.5, 2.0))
+    assert hash(g) == hash(Grid2D((8, 6), "neumann", (0.5, 2.0)))
+    assert g.axes == (Grid1D(8, "neumann", 0.5), Grid1D(6, "neumann", 2.0))
+    assert (g.n, g.lengths) == ((8, 6), (0.5, 2.0))
+    assert Grid2D(5) == Grid2D((5, 5))
+    assert Grid1D(8).axes == (Grid1D(8),)
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (((8,),), DimensionError),
+        (((8, 8, 8),), DimensionError),
+        (((8, 8), "dirichlet", (1.0,)), DimensionError),
+        (((8, 2),), DimensionError),
+        (((8, 8), "robin"), DegenerateArgumentError),
+        (((8, 8), "dirichlet", (1.0, -1.0)), DegenerateArgumentError),
+    ],
+    ids=["one-size", "three-sizes", "one-length", "size-2", "unknown-bc", "negative-length"],
+)
+def test_grid2d_refuses_what_an_axis_or_its_shape_refuses(args, error):
+    with pytest.raises(error):
+        Grid2D(*args)
+
+
 @pytest.mark.parametrize("bc", ("dirichlet", "neumann", "periodic"))
 def test_grid2d_difference_operator_stacks_the_axis_differences(bc):
     g = Grid2D((4, 6), bc, (0.8, 1.3))
@@ -200,11 +227,6 @@ def test_poincare_neumann_degenerate_flag():
     assert "degenerate" in r.note
 
 
-def test_poincare_rejects_other_norms():
-    with pytest.raises(UnsupportedNormError):
-        poincare_rate(Grid1D(16, "dirichlet"), NormSpec(p=1.0))
-
-
 GAP_GRIDS = (
     Grid1D(17, "dirichlet"),
     Grid1D(11, "dirichlet", length=2.5),
@@ -297,6 +319,19 @@ def test_rd_stability_guard():
     assert ei.value.suggested <= limit + 1e-15
     tr = rd_simulate(1.0, None, g, np.sin(2 * np.pi * g.points), (0.0, 0.05), ei.value.suggested)
     assert np.all(np.isfinite(tr.states))
+
+
+def test_rd_default_step_is_nine_tenths_of_the_limit():
+    rng = np.random.default_rng(11)
+    for g, alphas in ((Grid1D(24, "dirichlet", 1.3), (0.7,)), (Grid2D((6, 9), "periodic", (0.8, 1.3)), (0.5, 1.5))):
+        u0 = rng.normal(size=(len(alphas), g.size))
+        h_t = 0.9 * g.h**2 / (2.0 * g.ndim * max(alphas))
+        tr = rd_simulate(alphas, None, g, u0, (0.0, 40 * h_t))
+        want = rd_simulate(alphas, None, g, u0, (0.0, 40 * h_t), h_t)
+        assert np.array_equal(tr.times, want.times)
+        assert np.array_equal(tr.states, want.states)
+        with pytest.raises(StepSizeError):
+            rd_simulate(alphas, None, g, u0, (0.0, 40 * h_t), 1.2 * h_t)
 
 
 def test_rd_validation():
