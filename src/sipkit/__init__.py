@@ -1,16 +1,18 @@
 """Contraction-rate analysis in weighted l^p and Sobolev coordinates.
 
-Semi-inner products and one-sided norm derivatives (spaces), matrix
-measures and sampled rate estimates (measures), trajectory integration
-and decay-envelope certificates (flows), invariant subspace/manifold and
-limit-cycle certification (invariants), interconnection calculus
-(couplings), finite-difference PDE analysis (pdelab), duality-map
-regression (mirror), and a batch scenario harness (cli).
+Semi-inner products, duality maps and one-sided norm derivatives
+(spaces), matrix measures, sampled rate estimates and decay fits
+(measures), trajectory integration and decay-envelope certificates
+(flows), invariant subspace/manifold and limit-cycle certification
+(invariants), interconnection calculus (couplings), finite-difference
+PDE analysis (pdelab), duality-map regression (mirror), and a batch
+scenario harness (cli).
 
 ``import sipkit`` loads none of these modules.  Each public name is
 imported from its home module (``_EXPORTS``) on first access and then
 bound here, so a program, or a ``sipkit run`` process, pays only for the
-modules it uses (PEP 562).
+modules it uses (PEP 562).  ``_EXPORTS`` is the only export list: no
+module has an ``__all__``.
 """
 
 import importlib
@@ -21,9 +23,9 @@ _EXPORTS = {  # home module: its public names, blank-separated
         UnsupportedNormError""",
     "spaces": "NormSpec complex_sip conjugate_exponent dini_plus gateaux_sip norm norm_rows sip sip_rows",
     "measures": """Ball Box DomainSampler Points RateEstimate Sphere VectorField WeightFamily differential_rate
-        integral_rate lognorm_closed lognorm_limit lp_comparison_bound operator_norm operator_rate weighted_rate""",
-    "flows": """CertificateResult Trajectory distance_series integrate overshoot_fit pair_distances variational_flow
-        verify_contraction""",
+        integral_rate lognorm_closed lognorm_limit lp_comparison_bound operator_norm operator_rate overshoot_fit
+        weighted_rate""",
+    "flows": "CertificateResult Trajectory distance_series integrate pair_distances variational_flow verify_contraction",
     "invariants": """DecayFit DiffeoSymmetry LimitCycleReport LinearSymmetry ManifoldReport ManifoldSpec SubspaceReport
         SubspaceSpec equivariance_residual limit_cycle_certificate manifold_certificate newton_project
         set_distance_decay spatiotemporal_residual subspace_certificate""",

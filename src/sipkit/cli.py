@@ -28,7 +28,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CertificateRefusedError, SipkitError
-from .measures import SAMPLED, Ball, DomainSampler, Points, RateEstimate, Sphere, VectorField, operator_rate
+from .measures import (
+    SAMPLED,
+    Ball,
+    DomainSampler,
+    Points,
+    RateEstimate,
+    Sphere,
+    VectorField,
+    operator_rate,
+    overshoot_fit,
+)
 from .spaces import NormSpec
 
 # ---------------------------------------------------------- serialization
@@ -220,7 +230,6 @@ def _initial_profile(u0, grid):
 
 
 def _run_pde_rd(seed, *, n, bc, alpha, t_span, reaction=0.0, u0="sin", h_t=None, length=1.0, claimed_rate=None):
-    from .flows import overshoot_fit
     from .pdelab import Grid1D, demean, poincare_rate, rd_simulate, total_mass
     grid = Grid1D(int(n), str(bc), float(length))
     alpha = float(alpha)
@@ -257,19 +266,17 @@ _FLUXES = {
 
 def _run_pde_claw(seed, *, n, flux, t_span, amplitude=1.0, h_t=1e-3, tol=1e-8, length=1.0):
     from .flows import integrate
-    from .pdelab import Grid1D, _central_difference, conservation_rate, total_mass
+    from .pdelab import Grid1D, _conservation_law, conservation_rate, total_mass
     grid = Grid1D(int(n), "periodic", float(length))
-    name, make_flux, options = _named_option(_FLUXES, "flux", flux)
+    _, make_flux, options = _named_option(_FLUXES, "flux", flux)
     flux, rate_checked = make_flux(**options)
     amp = float(amplitude)
     x = grid.points
     profiles = np.array([a * np.sin(2.0 * np.pi * x / grid.length) for a in (0.5 * amp, amp)])
     sampler = DomainSampler(Points(profiles), count=len(profiles), seed=seed)
     rep = conservation_rate(flux, grid, sampler)
-    Dc = _central_difference(grid)
-    claw = VectorField(lambda t, u: -(Dc @ flux(u)), grid.n, name=name)
     u0 = 0.3 + 0.1 * amp * np.sin(2.0 * np.pi * x / grid.length)
-    tr = integrate(claw, u0, tuple(t_span), float(h_t))
+    tr = integrate(_conservation_law(flux, grid), u0, tuple(t_span), float(h_t))
     mass = total_mass(grid, tr.states)
     drift = float(np.max(np.abs(mass - mass[0])))
     results = {

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateArgumentError, DimensionError
-from .flows import overshoot_fit, pair_distances
+from .flows import pair_distances
 from .measures import (
     DomainSampler,
     RateEstimate,
@@ -29,23 +29,9 @@ from .measures import (
     _operator_rates,
     _zero_range_residual,
     integral_rate,
+    overshoot_fit,
 )
-from .spaces import NormSpec, norm_rows
-
-__all__ = [
-    "BlockSystem",
-    "AdditiveReport",
-    "FeedbackReport",
-    "ProductReport",
-    "ContinuumReport",
-    "additive_rate",
-    "feedback_certificate",
-    "product_lp_rate",
-    "feedforward_bound",
-    "continuum_rate",
-    "zero_diagonal_unitary",
-    "trapezoid_rule",
-]
+from .spaces import NormSpec, as_count, norm_rows
 
 
 # ----------------------------------------------------------------- types
@@ -311,6 +297,7 @@ def feedforward_bound(lam1, lam2, gain, d1_0, d2_0, t, formula: str = "convoluti
 
 def trapezoid_rule(n: int = 64, length: float = 1.0):
     """Composite trapezoid nodes/weights on [0, length]."""
+    n = as_count(n, "quadrature node count")
     if n < 2:
         raise DegenerateArgumentError("need at least two quadrature nodes")
     nodes = np.linspace(0.0, length, n)
@@ -336,8 +323,10 @@ def continuum_rate(
     direct rate of the combined field sum_i w_i phi(x_i) f(t, x_i, u) is
     attached; subadditivity puts it at or below the bound.  nodes and
     weights are given together or not at all (the 64-node trapezoid rule
-    on [0, 1]).
+    on [0, 1]).  Without a sampler it is refused, as every sampled rate is.
     """
+    if sampler is None:
+        raise DegenerateArgumentError("sampled rate needs a DomainSampler")
     if (nodes is None) != (weights is None):
         raise DegenerateArgumentError("give quadrature nodes and weights together, or neither")
     if nodes is None:

@@ -9,7 +9,8 @@ integrate is its single-state case, and pair_distances integrates every
 start of a list of pairs as one stack.  It keeps only the pair distances,
 taken with norm_rows over blocks of steps, so its memory grows with the
 number of pairs times the number of steps, not times the dimension.
-verify_contraction and couplings.product_lp_rate step through it.
+verify_contraction and couplings.product_lp_rate step through it;
+verify_contraction fits each pair's decay with measures.overshoot_fit.
 An affine field u' = A u + b is stepped by RK4's step map
 u -> R(hA) u + h P(hA) b, formed once per call, when the run is long
 enough to pay for it (steps x rows >= dim); any other field, or a
@@ -24,19 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateArgumentError, DimensionError, DivergenceError
-from .measures import BLOWUP, VectorField
+from .measures import BLOWUP, VectorField, overshoot_fit
 from .spaces import NormSpec, norm_rows
-
-__all__ = [
-    "Trajectory",
-    "CertificateResult",
-    "integrate",
-    "variational_flow",
-    "distance_series",
-    "pair_distances",
-    "verify_contraction",
-    "overshoot_fit",
-]
 
 
 @dataclass(frozen=True)
@@ -186,28 +176,6 @@ def distance_series(tr_a: Trajectory, tr_b: Trajectory, spec: NormSpec = NormSpe
     if tr_a.states.shape != tr_b.states.shape:
         raise DegenerateArgumentError("trajectories have different shapes")
     return norm_rows(tr_a.states - tr_b.states, spec)
-
-
-def overshoot_fit(times, distances):
-    """Least-squares fit of log d(t) = log kappa + lambda t.
-
-    Returns (lambda, kappa) with kappa clamped up to 1 when the fit lands
-    within its own residual noise of 1 (an overshoot constant below one
-    is never reported).  Needs at least three positive samples.
-    """
-    times = np.asarray(times, dtype=float)
-    distances = np.asarray(distances, dtype=float)
-    keep = distances > 0.0
-    if keep.sum() < 3:
-        raise DegenerateArgumentError("overshoot fit needs at least 3 positive distances")
-    t, d = times[keep], np.log(distances[keep])
-    lam, logk = np.polyfit(t, d, 1)
-    resid = d - (lam * t + logk)
-    noise = float(np.sqrt(np.mean(resid**2)))
-    kappa = math.exp(logk)
-    if kappa < 1.0 and logk > -(3.0 * noise + 1e-9):
-        kappa = 1.0
-    return float(lam), float(kappa)
 
 
 def pair_distances(f: VectorField, pairs, t_span, h: float, spec: NormSpec = NormSpec()):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .errors import (
     RegularityError,
     SymmetryError,
 )
-from .flows import Trajectory, overshoot_fit
 from .measures import (
     DomainSampler,
     RateEstimate,
@@ -38,26 +38,12 @@ from .measures import (
     _inner_rates,
     _state_rate,
     differential_rate,
+    overshoot_fit,
 )
 from .spaces import NormSpec, _seminorm, norm, norm_rows
 
-__all__ = [
-    "SubspaceSpec",
-    "ManifoldSpec",
-    "LinearSymmetry",
-    "DiffeoSymmetry",
-    "SubspaceReport",
-    "ManifoldReport",
-    "LimitCycleReport",
-    "DecayFit",
-    "subspace_certificate",
-    "manifold_certificate",
-    "equivariance_residual",
-    "spatiotemporal_residual",
-    "limit_cycle_certificate",
-    "set_distance_decay",
-    "newton_project",
-]
+if TYPE_CHECKING:  # annotations only: a trajectory comes from flows, which this module never runs
+    from .flows import Trajectory
 
 PROJECTION_TOL = 1e-10
 RANK_TOL = 1e-8

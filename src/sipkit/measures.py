@@ -24,6 +24,9 @@ mirror's step threshold and _zero_range_residual.  Every RateEstimate
 but poincare_rate's is built here; _state_rate builds the sampled sups
 over states.
 The quotients come from the fused row kernel spaces._quotient_rows.
+The exponential decay fit overshoot_fit, which flows, invariants,
+couplings, pdelab and mirror all report, lives here too, so a module
+that fits a decay need not load the RK4 layer flows.
 """
 
 from __future__ import annotations
@@ -41,26 +44,7 @@ from .errors import (
     EvaluationError,
     UnsupportedNormError,
 )
-from .spaces import NormSpec, _checked_weight, _ladder_limit, _quotient_rows, _raw_norm_rows
-
-__all__ = [
-    "RateEstimate",
-    "Box",
-    "Sphere",
-    "Ball",
-    "Points",
-    "DomainSampler",
-    "VectorField",
-    "WeightFamily",
-    "lognorm_closed",
-    "lognorm_limit",
-    "operator_norm",
-    "operator_rate",
-    "integral_rate",
-    "differential_rate",
-    "weighted_rate",
-    "lp_comparison_bound",
-]
+from .spaces import NormSpec, _checked_weight, _ladder_limit, _quotient_rows, _raw_norm_rows, as_count
 
 EXACT = "exact-closed-form"
 EIGEN = "eigen-exact"
@@ -231,8 +215,10 @@ class DomainSampler:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.count >= 1:
-            raise DegenerateArgumentError(f"sampler count must be at least 1, got {self.count!r}")
+        count = as_count(self.count, "sampler count")
+        if count < 1:
+            raise DegenerateArgumentError(f"sampler count must be at least 1, got {count!r}")
+        object.__setattr__(self, "count", count)
 
     def points(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -755,9 +741,10 @@ def weighted_rate(
 
     A matrix theta is a constant weight: integral_rate in the weighted
     norm (for an affine field, operator_rate of its matrix).  A
-    WeightFamily, or a callable (t, u) -> Theta, varies: the generator
-    d(Theta)/dt + Theta Df is evaluated at sampled states and the rate is
-    the sup of the log norm of (generator) Theta^{-1} in the base norm.
+    WeightFamily, or a callable (t, u) -> Theta, varies: the rate is
+    differential_rate, in the base norm, of the field whose Jacobian is
+    (d(Theta)/dt + Theta Df) Theta^{-1}, the generator at each sampled
+    state.
     """
     if spec.transform is not None:
         raise ConditioningError("pass the weight via `theta`, not inside spec")
@@ -765,18 +752,39 @@ def weighted_rate(
         theta = WeightFamily(theta=theta)
     if not isinstance(theta, WeightFamily):
         return integral_rate(f, sampler, NormSpec(p=spec.p, weight=theta, field_kind=spec.field_kind), times=times)
-    if sampler is None:
-        raise DegenerateArgumentError("varying weights need a DomainSampler")
 
     def generator(t, u):
         W = theta.matrix(t, u)
         G = theta.total_derivative(t, u, f(t, u)) + W @ f.jacobian(t, u)
         return G @ np.linalg.inv(W)
 
-    def rates_at(t, X):
-        return _inner_rates([generator(t, u) for u in X], spec, sampler.seed)
+    est = differential_rate(VectorField(f.fn, f.dim, jac=generator), sampler, spec, times, ascent_starts=2)
+    return replace(est, note="varying weight")
 
-    return replace(_state_rate(rates_at, sampler, times, 2), note="varying weight")
+
+# ------------------------------------------------------------ decay fits
+
+
+def overshoot_fit(times, distances):
+    """Least-squares fit of log d(t) = log kappa + lambda t.
+
+    Returns (lambda, kappa) with kappa clamped up to 1 when the fit lands
+    within its own residual noise of 1 (an overshoot constant below one
+    is never reported).  Needs at least three positive samples.
+    """
+    times = np.asarray(times, dtype=float)
+    distances = np.asarray(distances, dtype=float)
+    keep = distances > 0.0
+    if keep.sum() < 3:
+        raise DegenerateArgumentError("overshoot fit needs at least 3 positive distances")
+    t, d = times[keep], np.log(distances[keep])
+    lam, logk = np.polyfit(t, d, 1)
+    resid = d - (lam * t + logk)
+    noise = float(np.sqrt(np.mean(resid**2)))
+    kappa = math.exp(logk)
+    if kappa < 1.0 and logk > -(3.0 * noise + 1e-9):
+        kappa = 1.0
+    return float(lam), float(kappa)
 
 
 # ----------------------------------------------------- norm comparison

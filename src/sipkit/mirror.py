@@ -17,9 +17,8 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import DegenerateArgumentError, DimensionError, UnsupportedNormError
-from .flows import overshoot_fit
-from .measures import RateEstimate, _fd_jacobian, _inner_rates, _operator_rates
-from .spaces import NormSpec, as_vector, conjugate_exponent
+from .measures import RateEstimate, _fd_jacobian, _inner_rates, _operator_rates, overshoot_fit
+from .spaces import NormSpec, _duality_rows, as_vector, conjugate_exponent
 
 ROUNDTRIP_TOL = 1e-10
 
@@ -38,17 +37,12 @@ def _check_exponent(p: float) -> float:
 def duality_map(u, p: float) -> np.ndarray:
     """Normalized duality map of l^p: components ||u||^(2-p) |u_i|^(p-1) sgn(u_i).
 
-    Maps 0 to 0 by convention.  Pairs against the semi-inner product:
+    The one-row case of spaces._duality_rows: maps 0 to 0, is a copy of u
+    at p=2, and pairs against the semi-inner product,
     sum_i duality_map(u)_i v_i == sip(u, v) for every v.
     """
     p = _check_exponent(p)
-    u = as_vector(u)
-    if p == 2.0:
-        return u.copy()  # self-dual, bitwise
-    nu = float(np.linalg.norm(u, ord=p))
-    if nu == 0.0:
-        return np.zeros_like(u)
-    return nu ** (2.0 - p) * np.abs(u) ** (p - 1.0) * np.sign(u)
+    return _duality_rows(as_vector(u)[None], p)[0]
 
 
 def inverse_duality(u_star, p: float) -> np.ndarray:
@@ -116,8 +110,8 @@ class DualState:
 
     @classmethod
     def from_dual(cls, u_star, p: float) -> "DualState":
-        u_star = as_vector(u_star)
-        return cls(u_star=u_star, p=p, primal=inverse_duality(u_star, p))
+        primal = inverse_duality(u_star, p)  # checks u_star as a vector
+        return cls(u_star=np.asarray(u_star), p=p, primal=primal)
 
     def shifted(self, delta: np.ndarray) -> "DualState":
         return DualState.from_dual(self.u_star + delta, self.p)
@@ -128,7 +122,7 @@ def _dual_rows(prob: RegressionProblem, u: np.ndarray) -> np.ndarray:
     K = prob.feature_matrix()
     if K.shape[1] != u.shape[0]:
         raise DimensionError(f"state has {u.shape[0]} coordinates, features {K.shape[1]}")
-    return np.array([duality_map(k, prob.p) for k in K])
+    return _duality_rows(K, prob.p)
 
 
 def predictions(u, prob: RegressionProblem) -> np.ndarray:
@@ -205,7 +199,8 @@ def mirror_descent_run(
     theta=None,
     rate_checkpoints: int = 5,
 ) -> Tuple[np.ndarray, MirrorReport]:
-    """Explicit Euler on the dual flow u* <- u* - alpha*DL(u).
+    """Explicit Euler on the dual flow u* <- u* - alpha*DL(u), stepped as
+    DualState.shifted.
 
     Reports the risk trajectory, a fitted decay rate, and the worst sampled
     rate of -H along the visited path measured in the conjugate-exponent
@@ -219,21 +214,19 @@ def mirror_descent_run(
     steps = int(steps)
     if steps < 0:
         raise DegenerateArgumentError("steps must be nonnegative")
-    u = as_vector(u0)
-    p = prob.p
+    state = DualState.from_primal(u0, prob.p)
 
     checkpoints = np.unique(np.linspace(0, steps, num=min(rate_checkpoints, steps + 1), dtype=int))
     snapshots = {}
 
-    D = _dual_rows(prob, u)
+    D = _dual_rows(prob, state.primal)
     y = prob.targets()
 
     risks = np.empty(steps + 1)
-    ustar = duality_map(u, p)
     rises = 0
     warned = False
     for k in range(steps + 1):
-        risk, grad = _risk_grad_from(D, y, prob.loss, u)
+        risk, grad = _risk_grad_from(D, y, prob.loss, state.primal)
         risks[k] = risk
         if k > 0 and risks[k] > risks[k - 1]:
             rises += 1
@@ -242,14 +235,13 @@ def mirror_descent_run(
         else:
             rises = 0
         if k in checkpoints:
-            snapshots[k] = u.copy()
+            snapshots[k] = state.primal.copy()
         if k == steps:
             break
         if alpha > 0.0:
-            ustar = ustar - alpha * grad
-            u = inverse_duality(ustar, p)
+            state = state.shifted(-alpha * grad)
 
-    q = conjugate_exponent(p)
+    q = conjugate_exponent(prob.p)
     if theta is None:
         dual_spec = NormSpec(p=q)
     else:
@@ -277,4 +269,4 @@ def mirror_descent_run(
         warned=warned,
         note=note,
     )
-    return u, report
+    return state.primal, report

@@ -32,7 +32,7 @@ from .errors import (
     StepSizeError,
     UnsupportedNormError,
 )
-from .flows import Trajectory, integrate, overshoot_fit
+from .flows import Trajectory, integrate
 from .measures import (
     BLOWUP,
     EIGEN,
@@ -47,29 +47,9 @@ from .measures import (
     differential_rate,
     integral_rate,
     operator_rate,
+    overshoot_fit,
 )
-from .spaces import NormSpec, _seminorm, norm
-
-__all__ = [
-    "Grid1D",
-    "Grid2D",
-    "SobolevSpec",
-    "SuppressionReport",
-    "ExcitationReport",
-    "ConservationReport",
-    "FixedPointReport",
-    "build_laplacian",
-    "difference_operator",
-    "poincare_rate",
-    "total_mass",
-    "rd_simulate",
-    "pattern_report",
-    "sobolev_rate",
-    "conservation_rate",
-    "fixed_point_solve",
-    "mass_zero_basis",
-    "demean",
-]
+from .spaces import NormSpec, _seminorm, as_count, norm
 
 _BCS = ("dirichlet", "neumann", "periodic")
 
@@ -87,11 +67,14 @@ def _spacing(n, bc, length):
 
 @dataclass(frozen=True)
 class Grid1D:
+    """n points (an integer, at least 3) on [0, length] under boundary condition bc."""
+
     n: int
     bc: str = "dirichlet"
     length: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_count(self.n, "grid size", DimensionError))
         if self.n < 3:
             raise DimensionError("grid needs at least 3 interior points")
         if self.bc not in _BCS:
@@ -136,7 +119,7 @@ class Grid2D:
         lengths = tuple(self.lengths)
         if len(n) != 2 or len(lengths) != 2:
             raise DimensionError(f"a 2-d grid needs two sizes and two lengths, got {n} and {lengths}")
-        axes = tuple(Grid1D(int(k), self.bc, ell) for k, ell in zip(n, lengths))
+        axes = tuple(Grid1D(k, self.bc, ell) for k, ell in zip(n, lengths))
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "n", tuple(ax.n for ax in axes))
         object.__setattr__(self, "lengths", tuple(ax.length for ax in axes))
@@ -560,6 +543,18 @@ class ConservationReport:
     skewness_residual: float
 
 
+def _conservation_law(flux, grid: Grid1D) -> VectorField:
+    """u' = -d/dx f(u) by periodic central differences, with the Jacobian
+    A(u) = -Dc diag(f'(u)) whose f' is taken by _fd with step 1e-6, state
+    by state, since a flux may take single states only."""
+    Dc = _central_difference(grid)
+
+    def linearized(t, u):
+        return -Dc @ np.diag(_fd(lambda v: np.asarray(flux(v)), u, 1.0, 1e-6))
+
+    return VectorField(lambda t, u: -(Dc @ np.asarray(flux(u))), grid.n, jac=linearized)
+
+
 def conservation_rate(
     flux,
     grid: Grid1D,
@@ -569,35 +564,29 @@ def conservation_rate(
     """Rate of the linearized conservation law A(u)v = -d/dx (f'(u) v)
     on the mass-zero subspace (periodic grid, central differences).
 
-    flux is the scalar flux f, whose derivative f' is taken by _fd with
-    step 1e-6: differential_rate over the demeaned sampled states, no
-    ascent; alternatively flux_prime_operator gives f' directly as a
-    (possibly nonlocal) matrix.  The skewness residual is the largest
-    zero-range residual of the compressed linearization M = V^T A V,
-    ||sym M||_2, zero exactly when M is skew (linear advection, odd
-    difference operators).
+    flux is the scalar flux f: the Jacobian of _conservation_law is rated
+    by differential_rate over the demeaned sampled states, no ascent;
+    alternatively flux_prime_operator gives f' directly as a (possibly
+    nonlocal) matrix.  The skewness residual is the largest zero-range
+    residual of the compressed linearization M = V^T A V, ||sym M||_2,
+    zero exactly when M is skew (linear advection, odd difference
+    operators).
     """
     if grid.bc != "periodic":
         raise DegenerateArgumentError("conservation analysis assumes a periodic grid")
-    N = grid.n
-    Dc = _central_difference(grid)
-    V = mass_zero_basis(N)
+    V = mass_zero_basis(grid.n)
     mass_zero = _seminorm(NormSpec(), V.T, V)
 
     if flux_prime_operator is not None:
-        A = -Dc @ np.asarray(flux_prime_operator, dtype=float)
+        A = -_central_difference(grid) @ np.asarray(flux_prime_operator, dtype=float)
         return ConservationReport(replace(operator_rate(A, mass_zero), samples=1), _zero_range_residual(A, mass_zero))
     if sampler is None:
         raise DegenerateArgumentError("state-dependent flux needs a sampler")
 
-    def linearized(t, u):
-        # a flux may take single states only, so f' is differenced state by state
-        return -Dc @ np.diag(_fd(lambda v: np.asarray(flux(v)), u, 1.0, 1e-6))
-
     X = demean(sampler.points())
-    law = VectorField(lambda t, u: -Dc @ np.asarray(flux(u)), N, jac=linearized)
+    law = _conservation_law(flux, grid)
     est = differential_rate(law, DomainSampler(Points(X), len(X), sampler.seed), mass_zero)
-    skew = _zero_range_residual([linearized(0.0, u) for u in X], mass_zero)
+    skew = _zero_range_residual([law.jacobian(0.0, u) for u in X], mass_zero)
     return ConservationReport(replace(est, note="eigen-exact per sampled state"), skew)
 
 

@@ -9,13 +9,17 @@ semi-inner products, with one closed-form kernel for each that works on
 stacks of rows.  The single-vector forms (norm, sip, complex_sip) are its
 one-row case, the row-wise forms (norm_rows, sip_rows, and the fused
 quotient kernel _quotient_rows that every sampled supremum runs on) its
-stacked case.  Beside them sit a slow difference-quotient reference for
-the same quantity and one-sided derivative estimates for scalar signals.
+stacked case.  The l^p duality map, whose pairing with v is the
+semi-inner product, has one row kernel too (_duality_rows): complex_sip
+and mirror's duality maps are its cases.  Beside them sit a slow
+difference-quotient reference for the same quantity and one-sided
+derivative estimates for scalar signals.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,18 +31,6 @@ from .errors import (
     DimensionError,
     UnsupportedNormError,
 )
-
-__all__ = [
-    "NormSpec",
-    "norm",
-    "norm_rows",
-    "sip",
-    "sip_rows",
-    "complex_sip",
-    "gateaux_sip",
-    "dini_plus",
-    "conjugate_exponent",
-]
 
 # Absolute tolerance for treating a coordinate as zero in the p=1 forms.
 ZERO_COORD_TOL = 1e-14
@@ -59,6 +51,15 @@ def as_vector(entries, dtype=None) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise DegenerateArgumentError("vector has non-finite entries")
     return v
+
+
+def as_count(k, what: str, error=DegenerateArgumentError) -> int:
+    """k as an int, for a Python or numpy integer (operator.index); any
+    other value raises error."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {k!r}") from None
 
 
 def conjugate_exponent(p: float) -> float:
@@ -206,6 +207,20 @@ def _powers(a: np.ndarray, p: float) -> np.ndarray:
     return a ** (p - 2.0) if p > 2.0 else np.power(a, p - 2.0, out=np.zeros(a.shape), where=a > 0.0)
 
 
+def _duality_rows(X: np.ndarray, p: float) -> np.ndarray:
+    """The l^p duality map J(x) = ||x||^(2-p) |x|^(p-1) sign(x) of every
+    row of X, sign(x) = x/|x| for complex entries; J(0) = 0, and at p=2,
+    where J is the identity, a copy of X.  Pairs with the semi-inner
+    product: J(u) . v = sip(u, v) for every v and u != 0."""
+    if p == 2.0:
+        return X.copy()
+    a = np.abs(X)
+    nu = _abs_norm_rows(a, p)
+    scale = np.power(nu, 2.0 - p, out=np.zeros(nu.shape), where=nu > 0.0)[:, None]
+    sign = np.divide(X, a, out=np.zeros_like(X), where=a > 0.0) if np.iscomplexobj(X) else np.sign(X)
+    return scale * a ** (p - 1.0) * sign
+
+
 def _sip_rows_raw(U: np.ndarray, W: np.ndarray, p: float, a: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """Right semi-inner product of every row pair of transformed U and W,
     given a = |U| and its row norms nu, none of them zero.
@@ -339,11 +354,9 @@ def complex_sip(u, v, spec: NormSpec) -> complex:
     if spec.p in (1.0, math.inf):
         raise UnsupportedNormError("complex semi-inner product needs 1 < p < inf")
     TU, TV = _transformed_pair(u, v, spec, as_=as_vector)
-    a = np.abs(TU)
-    nu = _abs_norm_rows(a, spec.p)[0]
-    if nu == 0.0:
+    if not TU.any():
         raise DegenerateArgumentError("semi-inner product undefined at u = 0")
-    return complex(nu ** (2.0 - spec.p) * (_powers(a, spec.p) * TU.conj() * TV).sum())
+    return complex((_duality_rows(TU, spec.p).conj() * TV).sum())
 
 
 def _ladder_limit(q):

@@ -592,14 +592,14 @@ def _child_env():
 _KIND_MODULES = {
     "measure": set(),
     "verify": {"flows"},
-    "subspace": {"flows", "invariants"},
-    "manifold": {"flows", "invariants"},
-    "symmetry": {"flows", "invariants"},
+    "subspace": {"invariants"},
+    "manifold": {"invariants"},
+    "symmetry": {"invariants"},
     "couple": {"flows", "couplings"},
     "pde-rd": {"flows", "pdelab"},
     "pde-claw": {"flows", "pdelab"},
     "poisson": {"flows", "pdelab"},
-    "regress": {"flows", "mirror"},
+    "regress": {"mirror"},
 }
 
 

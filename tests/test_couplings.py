@@ -156,6 +156,11 @@ def test_feedback_dimension_errors():
         feedback_certificate(bad)
     with pytest.raises(DimensionError):
         BlockSystem([[one, one]], dims=(1, 1))
+    with pytest.raises(DimensionError, match="positive"):
+        BlockSystem([[one, None], [None, one]], dims=(1, 0))
+    two = BlockSystem([[one, one], [-one, one]], dims=(1, 1))
+    with pytest.raises(DimensionError, match="sampler dimension"):
+        feedback_certificate(two, sampler=DomainSampler(Ball(np.zeros(3), 1.0), count=4))
     with pytest.raises(DegenerateArgumentError):
         BlockSystem([[one, one], [one, one]], dims=(1, 1), product_p=0.5)
 
@@ -331,9 +336,23 @@ def test_continuum_refuses_half_given_quadrature():
     for half in ({"nodes": nodes}, {"weights": weights}):
         with pytest.raises(DegenerateArgumentError):
             continuum_rate(lambda t, x, u: -u, lambda x: 1.0, NormSpec(), samp, **half)
+    with pytest.raises(DimensionError, match="matching 1-d"):
+        continuum_rate(lambda t, x, u: -u, lambda x: 1.0, NormSpec(), samp, nodes=nodes, weights=weights[:2])
     rep = continuum_rate(lambda t, x, u: -u, lambda x: 1.0, NormSpec(), samp, nodes=nodes, weights=weights)
     assert rep.nodes == 3
     assert abs(rep.weighted_mass - 5.0) < 1e-12
+
+
+def test_continuum_refuses_a_missing_sampler_before_rating_a_node():
+    calls = []
+
+    def family(t, x, u):
+        calls.append(x)
+        return -u
+
+    with pytest.raises(DegenerateArgumentError, match="sampled rate needs a DomainSampler"):
+        continuum_rate(family, lambda x: 1.0)
+    assert not calls
 
 
 def test_continuum_subadditivity_property():
@@ -358,6 +377,14 @@ def test_trapezoid_rule_basics():
     assert nodes[0] == 0.0 and nodes[-1] == 2.0
     with pytest.raises(DegenerateArgumentError):
         trapezoid_rule(1)
+
+
+@pytest.mark.parametrize("n", [2.5, 9.0, np.float64(9.0)], ids=["2.5", "9.0", "float64"])
+def test_trapezoid_rule_refuses_a_node_count_that_is_not_an_integer(n):
+    with pytest.raises(DegenerateArgumentError, match="count must be an integer"):
+        trapezoid_rule(n)
+    nodes, weights = trapezoid_rule(np.int64(9))
+    assert nodes.shape == weights.shape == (9,)
 
 
 # ------------------------------------------------- zero-diagonal unitary

@@ -329,6 +329,17 @@ def test_integrate_wrong_length_start_raises_before_stepping(affine):
     assert calls[0] == 0
 
 
+def test_shape_refusals_of_integrate_variational_flow_and_distance_series():
+    f = VectorField.linear(-np.eye(2))
+    with pytest.raises(DegenerateArgumentError, match="initial state must be a vector"):
+        integrate(f, np.zeros((2, 2)), (0.0, 1.0), 0.1)
+    with pytest.raises(DegenerateArgumentError, match="perturbation dimensions differ"):
+        variational_flow(f, [1.0, 0.0], [1.0, 0.0, 0.0], (0.0, 1.0), 0.1)
+    tr = integrate(f, [1.0, 0.0], (0.0, 1.0), 0.1)
+    with pytest.raises(DegenerateArgumentError, match="different shapes"):
+        distance_series(tr, integrate(f, [1.0, 0.0], (0.0, 2.0), 0.1))
+
+
 def test_rk4_calls_the_field_only_off_the_step_map(monkeypatch):
     calls = []
     evaluate = VectorField.__call__

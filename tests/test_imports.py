@@ -3,13 +3,13 @@
 Every module-level import of a sipkit module is used.  The package
 ``__init__`` is left out, since it holds the export table.  A name
 counts as used when the module refers to it anywhere (annotations
-included) or lists it in ``__all__``.  An import in a function's body
-(such as the CLI handlers' imports of the modules they run) is used in
-that function.
+included).  An import in a function's body (such as the CLI handlers'
+imports of the modules they run) is used in that function.
 
 ``sipkit.__all__`` names each public object once, and the package
 resolves every name, on first access, to the object its home module
-defines.  Every name a module lists in its ``__all__`` is one of them.
+defines.  The export table is the only export list: no module has an
+``__all__``.
 
 Exact rate estimates are built in one place: outside ``measures`` the
 exact kinds (EIGEN, EXACT, or their strings) appear only in
@@ -46,17 +46,8 @@ def _imported_names(tree):
                 yield alias.asname or alias.name
 
 
-def _module_all(tree):
-    """The names a module lists in __all__ (none when it has no __all__)."""
-    names = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            names.update(ast.literal_eval(node.value))
-    return names
-
-
 def _used_names(tree):
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _module_all(tree)
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def test_modules_are_found():
@@ -112,9 +103,14 @@ def test_every_export_resolves_to_its_home_modules_object():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_exports_are_package_exports(path):
-    # a name a module lists in __all__ is public, so the package exports it
-    stray = sorted(_module_all(ast.parse(path.read_text(), filename=str(path))) - set(sipkit.__all__))
-    assert not stray, f"{path.name} lists {stray} in __all__, which the package does not export"
+    # sipkit._EXPORTS names every public object and its home, so no module
+    # assigns __all__: a module list beside it would be a second copy
+    lines = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+    ]
+    assert not lines, f"{path.name} assigns __all__ at lines {lines}"
 
 
 _EXACT_KINDS = {"EIGEN", "EXACT", "eigen-exact", "exact-closed-form"}

@@ -244,6 +244,10 @@ def test_subspace_projection_validation():
         subspace_certificate(
             VectorField.linear(-np.eye(2)), sub, box_sampler([-1, -1], [1, 1])
         )
+    with pytest.raises(DimensionError, match="projection and field dimensions differ"):
+        subspace_certificate(
+            VectorField.linear(-np.eye(3)), SubspaceSpec(np.diag([1.0, 0.0])), box_sampler([-1] * 3, [1] * 3)
+        )
 
 
 # ------------------------------------------------------------ manifolds
@@ -255,6 +259,14 @@ def test_newton_projection_accuracy():
     assert abs(np.linalg.norm(z) - 1.0) < 1e-12
     z2 = newton_project(man, np.array([0.3, -0.4]))
     assert abs(np.linalg.norm(z2) - 1.0) < 1e-10
+
+
+def test_manifold_spec_refuses_a_constraint_of_the_wrong_shape():
+    u = np.array([0.3, -0.2])
+    with pytest.raises(DimensionError, match=r"constraint returned shape \(2,\), expected \(1,\)"):
+        ManifoldSpec(lambda v: v, dim=2, codim=1).value(u)
+    with pytest.raises(DimensionError, match=r"constraint jacobian has shape \(2, 2\)"):
+        ManifoldSpec(lambda v: np.array([v @ v]), dim=2, codim=1, dphi=lambda v: np.eye(2)).jacobian(u)
 
 
 def test_newton_projection_without_a_zero_set_is_refused():

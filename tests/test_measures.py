@@ -60,6 +60,12 @@ def test_lognorm_closed_rejects_general_p():
         lognorm_closed(np.eye(2), 3.0)
 
 
+def test_lognorm_limit_refuses_a_stacked_norm_off_p2():
+    spec = NormSpec(p=3.0, stack=(np.eye(3) - np.eye(3, k=1),))
+    with pytest.raises(UnsupportedNormError, match="no square conjugation off p=2"):
+        lognorm_limit(-np.eye(3), spec)
+
+
 def test_lognorm_limit_identity_any_p():
     for p in (1.0, 1.5, 2.0, 3.0, math.inf):
         est = lognorm_limit(np.eye(3), NormSpec(p=p))
@@ -379,6 +385,13 @@ def test_stacked_field_wrong_shape_names_the_row():
         assert np.array_equal(err.value.point, U[k])
 
 
+def test_analytic_jacobian_of_the_wrong_shape_is_refused():
+    f = VectorField(lambda t, u: -u, 3, jac=lambda t, u: -np.eye(2))
+    with pytest.raises(EvaluationError, match=r"jacobian returned shape \(2, 2\)") as err:
+        f.jacobian(0.0, [1.0, 2.0, 3.0])
+    assert np.array_equal(err.value.point, [1.0, 2.0, 3.0])
+
+
 def test_sampled_sup_never_ascends_from_nan_or_minus_inf():
     from sipkit.measures import _sampled_sup
 
@@ -463,6 +476,10 @@ def test_lp_comparison_requires_measure_and_box():
         lp_comparison_bound(-1.0, 4.0, 1.0, 1.0, measure_e=1.0)
     with pytest.raises(DegenerateArgumentError):
         lp_comparison_bound(-1.0, 2.0, -1.0, 1.0)
+    with pytest.raises(DegenerateArgumentError, match="init_dist"):
+        lp_comparison_bound(-1.0, 2.0, 1.0, -1.0)
+    with pytest.raises(DegenerateArgumentError, match="finite p > 2 needs a positive domain measure"):
+        lp_comparison_bound(-1.0, 4.0, 1.0, 1.0, box_bound=2.0)
 
 
 def test_lp_comparison_monotone_in_time_for_negative_rate():
@@ -529,6 +546,11 @@ def test_box_refuses_corners_that_are_not_finite_or_ordered(hi):
         Box((0.0, 0.0), hi)
 
 
+def test_box_refuses_corners_of_different_lengths():
+    with pytest.raises(DimensionError, match="matching 1-d"):
+        Box((0.0, 0.0), (1.0, 1.0, 1.0))
+
+
 @pytest.mark.parametrize("points", [[], [[]], np.zeros((2, 0)), np.zeros((2, 2, 2))])
 def test_points_refuse_an_empty_list(points):
     with pytest.raises(DimensionError):
@@ -545,6 +567,15 @@ def test_points_refuse_non_finite_entries(bad):
 def test_sampler_refuses_a_count_below_one(count):
     with pytest.raises(DegenerateArgumentError, match="count"):
         DomainSampler(Box((0.0,), (1.0,)), count=count)
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, np.float64(4.0), "3"], ids=["2.5", "3.0", "float64", "str"])
+def test_sampler_refuses_a_count_that_is_not_an_integer(count):
+    with pytest.raises(DegenerateArgumentError, match="count must be an integer"):
+        DomainSampler(Box((0.0,), (1.0,)), count=count)
+    # numpy integers are integers
+    samp = DomainSampler(Box((0.0,), (1.0,)), count=np.int64(3))
+    assert samp.count == 3 and samp.points().shape == (3, 1)
 
 
 def test_pairs_never_coincide():

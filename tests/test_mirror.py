@@ -222,6 +222,8 @@ def test_run_validation():
         mirror_descent_run(prob, -0.1, 10, np.zeros(3))
     with pytest.raises(DimensionError):
         mirror_descent_run(prob, 0.1, 10, np.zeros(4))
+    with pytest.raises(DegenerateArgumentError, match="steps must be nonnegative"):
+        mirror_descent_run(prob, 0.1, -1, np.zeros(3))
 
 
 def test_every_entry_checks_the_state_feature_pairing():

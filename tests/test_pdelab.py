@@ -110,14 +110,22 @@ def test_grid2d_is_its_two_axes():
         (((8, 8, 8),), DimensionError),
         (((8, 8), "dirichlet", (1.0,)), DimensionError),
         (((8, 2),), DimensionError),
+        (((8.7, 8),), DimensionError),
         (((8, 8), "robin"), DegenerateArgumentError),
         (((8, 8), "dirichlet", (1.0, -1.0)), DegenerateArgumentError),
     ],
-    ids=["one-size", "three-sizes", "one-length", "size-2", "unknown-bc", "negative-length"],
+    ids=["one-size", "three-sizes", "one-length", "size-2", "fractional-size", "unknown-bc", "negative-length"],
 )
 def test_grid2d_refuses_what_an_axis_or_its_shape_refuses(args, error):
     with pytest.raises(error):
         Grid2D(*args)
+
+
+@pytest.mark.parametrize("n", [8.5, 8.0, np.float64(8.0), "8"], ids=["8.5", "8.0", "float64", "str"])
+def test_grid1d_refuses_a_size_that_is_not_an_integer(n):
+    with pytest.raises(DimensionError, match="grid size must be an integer"):
+        Grid1D(n)
+    assert Grid1D(np.int64(8)) == Grid1D(8) and type(Grid1D(np.int64(8)).n) is int
 
 
 @pytest.mark.parametrize("bc", ("dirichlet", "neumann", "periodic"))

@@ -68,11 +68,18 @@ def test_weight_conditioning_guard():
         NormSpec(p=2.0, weight=np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(ConditioningError):
         NormSpec(p=2.0, weight=np.ones((2, 3)))
+    with pytest.raises(ConditioningError, match="mutually exclusive"):
+        NormSpec(p=2.0, weight=np.eye(2), stack=(np.eye(2),))
 
 
 def test_p_below_one_rejected():
     with pytest.raises(UnsupportedNormError):
         NormSpec(p=0.5)
+
+
+def test_unknown_field_kind_rejected():
+    with pytest.raises(DegenerateArgumentError, match="unknown field 'quaternion'"):
+        NormSpec(p=2.0, field_kind="quaternion")
 
 
 # ------------------------------------------------- semi-inner products
@@ -102,6 +109,9 @@ def test_sip_zero_base_rejected():
     for p in P_GRID:
         with pytest.raises(DegenerateArgumentError):
             sip([0.0, 0.0], [1.0, 1.0], spec_of(p))
+    for p in (1.5, 2.0, 4.0):
+        with pytest.raises(DegenerateArgumentError, match="u = 0"):
+            complex_sip([0.0, 0.0], [1.0, 1.0j], NormSpec(p=p, field_kind="complex"))
 
 
 def test_sip_shape_mismatch_rejected():
@@ -376,6 +386,11 @@ def test_dini_plus_refuses_unordered_times():
     for ts in ([0.0, 1.0, 1.0, 2.0], [0.0, math.nan, 2.0, 3.0]):
         with pytest.raises(DegenerateArgumentError, match="strictly increasing"):
             dini_plus((ts, [0.0, 1.0, 2.0, 3.0]), 1.5)
+
+
+def test_dini_plus_refuses_times_and_values_of_different_lengths():
+    with pytest.raises(DimensionError, match="matching 1-d times and values"):
+        dini_plus(([0.0, 1.0, 2.0], [0.0, 1.0]), 0.5)
 
 
 def test_dini_matches_sip_identity_along_norm():
